@@ -25,15 +25,17 @@
 //	GET  /readyz                 readiness probe (503 until a model is loaded;
 //	                             degraded-but-serving stays 200)
 //	GET  /metrics                Prometheus text: latency histogram + quantile
-//	                             summary, SLO gauges, coalescer batch/queue/
-//	                             window histograms, session-pool occupancy,
+//	                             summary, SLO gauges, estimate-lane
+//	                             concurrency/queue-depth/queue-wait
+//	                             histograms, session-pool occupancy,
 //	                             breaker state, fault counters
 //
-// Concurrent single-query requests are coalesced per model: up to
-// -fuse-batch of them fuse into one batched run over the pooled sessions,
-// collected over an adaptive -fuse-window that decays to zero when idle.
-// Each fused query keeps its own randomness stream, so coalescing never
-// changes any result. A full -fuse-queue answers 429 + Retry-After.
+// Single-query requests are served by estimate lanes: one bounded queue
+// drained by -workers persistent goroutines (default one per core), each
+// running one estimate at a time with inline kernels, so concurrent
+// requests run on concurrent cores. Each request keeps its own randomness
+// stream, so concurrency never changes any result. A full -fuse-queue
+// answers 429 + Retry-After.
 //
 // Sharded fleets (written by `neurocard -shards N -save-shards DIR`) serve
 // as logical models: -load-manifest (or a manifest load via the API) loads
@@ -93,13 +95,10 @@ func main() {
 	modelsDir := flag.String("models", "models", "directory of <name>.ckpt checkpoints")
 	load := flag.String("load", "", "comma-separated model names to load at startup (first becomes default)")
 	loadManifest := flag.String("load-manifest", "", "comma-separated logical model names: load <models>/<name>.manifest.json plus every shard checkpoint it lists, serving the group as one model")
-	workers := flag.Int("workers", 0, "batch estimate concurrency (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "batch estimate concurrency and number of single-query estimate lanes (0 = GOMAXPROCS)")
 	precision := flag.String("precision", "", "serving precision for loaded models: float64 or float32 (empty keeps each checkpoint's own); per-load overrides via the load API")
 	maxBatch := flag.Int("maxbatch", 1024, "maximum queries per estimate request")
-	fuseBatch := flag.Int("fuse-batch", 0, "max single-query requests fused per coalesced flush (0 = default 64)")
-	fuseWindow := flag.Duration("fuse-window", 0, "max latency budget the coalescer holds a batch open; adaptive, decays when idle (0 = default 1.5ms, negative disables the window)")
-	fuseQueue := flag.Int("fuse-queue", 0, "pending coalesced requests per model before 429 backpressure (0 = default 1024)")
-	noCoalesce := flag.Bool("no-coalesce", false, "serve single-query requests inline instead of coalescing them")
+	fuseQueue := flag.Int("fuse-queue", 0, "single-query requests that may wait for an estimate lane before 429 backpressure (0 = default 1024)")
 	sloP99 := flag.Duration("slo-p99", 0, "p99 request-latency SLO target exported on /metrics (0 = default 25ms)")
 	pprofAddr := flag.String("pprof", "", "listen address for net/http/pprof (e.g. localhost:6060); empty disables")
 	requestTimeout := flag.Duration("request-timeout", 0, "end-to-end budget per estimate request; expiry answers 504 (0 = unbounded)")
@@ -157,10 +156,7 @@ func main() {
 		ModelsDir:         *modelsDir,
 		Workers:           *workers,
 		MaxBatch:          *maxBatch,
-		FuseMaxBatch:      *fuseBatch,
-		FuseWindow:        *fuseWindow,
 		FuseQueue:         *fuseQueue,
-		NoCoalesce:        *noCoalesce,
 		SLOLatencyP99:     *sloP99,
 		RequestTimeout:    *requestTimeout,
 		BreakerWindow:     *breakerWindow,
@@ -269,8 +265,8 @@ func main() {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	// Graceful drain: stop accepting connections and wait for in-flight
-	// requests to complete (bounded), then stop the coalescer goroutines.
-	// Ordering matters — closing the coalescers first would fail the very
+	// requests to complete (bounded), then stop the estimate lanes.
+	// Ordering matters — closing the lanes first would fail the very
 	// requests the drain is waiting on with 503s.
 	log.Printf("shutting down: draining in-flight requests")
 	close(refreshDone)

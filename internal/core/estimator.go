@@ -19,7 +19,7 @@ import (
 
 // ErrEstimatePanic wraps a panic recovered inside one estimate: the serving
 // paths convert it into a positional error for that query instead of letting
-// it kill the process (or a coalescer fuser). The session the panic ran on is
+// it kill the process (or a serving lane). The session the panic ran on is
 // discarded, not pooled, since its scratch may be mid-mutation.
 var ErrEstimatePanic = errors.New("core: estimate panicked")
 
@@ -604,11 +604,11 @@ func (e *Estimator) EstimateBatchSeeded(queries []query.Query, workers int, seed
 	return ests, nil
 }
 
-// BatchItem is one query of a fused batch that carries its own randomness
-// source, so queries from independent callers can share a batch run without
-// their results depending on who else is in the batch. A seeded serving
-// request that would run alone as EstimateSeededIndexed(q, seed, 0) fuses as
-// {Query: q, Seed: seed, Idx: 0} and produces the identical estimate.
+// BatchItem is one query that carries its own randomness source, so queries
+// from independent callers can share a batch run — or each run alone on a
+// serving lane — without their results depending on who else is running. A
+// seeded serving request is {Query: q, Seed: seed, Idx: 0} and produces the
+// estimate EstimateSeededIndexed(q, seed, 0) does.
 type BatchItem struct {
 	Query query.Query
 	Seed  int64 // base seed; ignored when Auto
@@ -618,24 +618,52 @@ type BatchItem struct {
 	// independent sample per call.
 	Auto bool
 	// Ctx, when non-nil, bounds this item: an item whose context is already
-	// done fails positionally without running, and expiry mid-sampling is
-	// detected between sampling steps. Items from independent requests fused
-	// into one batch each keep their own deadline.
+	// done fails without running (no session is checked out), and expiry
+	// mid-sampling is detected between sampling steps. Items from
+	// independent requests each keep their own deadline.
 	Ctx context.Context
 }
 
-// EstimateItems estimates every item on up to `workers` pooled sessions
-// (≤ 0 means GOMAXPROCS) and returns estimates and errors aligned with
-// items: one bad query fails positionally instead of poisoning the batch.
-// Item randomness comes from each item's own (Seed, Idx) pair, so results
-// are independent of batch composition, worker count, and scheduling — the
-// property the serving daemon's cross-request coalescer is built on.
+// EstimateItem runs one item on the caller's goroutine with inline kernels —
+// the serving daemon's single-query path (one call per estimate lane) and the
+// body of every EstimateItems worker. The caller is assumed to be one of
+// several running concurrently, so the session never fans its kernels out to
+// the nn.Pool; results are identical either way (kernel results do not
+// depend on chunking).
 //
-// Fault containment: a panic inside any item's estimate is recovered into an
-// ErrEstimatePanic positional error (the worker swaps its possibly-poisoned
-// session for a fresh one and keeps going), and an item whose Ctx is done
-// fails with its context error — before starting when already expired, or at
-// the next inter-step check when it expires mid-sampling.
+// Fault containment: an item whose Ctx is already done fails with its context
+// error before a session is checked out; expiry mid-sampling is detected at
+// the next inter-step check; and a panic inside the estimate is recovered
+// into an ErrEstimatePanic error, the session it may have poisoned discarded
+// rather than pooled.
+func (e *Estimator) EstimateItem(it BatchItem) (float64, error) {
+	ctx := it.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	seed, idx := it.Seed, it.Idx
+	if it.Auto {
+		seed, idx = e.cfg.Seed, e.qcount.Add(1)
+	}
+	st := e.eng.acquire(e.psamples(), true)
+	est, err, panicked := st.estimateSafe(ctx, it.Query, seed, idx)
+	if panicked {
+		st.discard()
+	} else {
+		st.release()
+	}
+	return est, err
+}
+
+// EstimateItems estimates every item on up to `workers` goroutines (≤ 0 means
+// GOMAXPROCS), each running EstimateItem on the next unclaimed item, and
+// returns estimates and errors aligned with items: one bad query — invalid,
+// expired, or panicking — fails positionally instead of poisoning the batch.
+// Item randomness comes from each item's own (Seed, Idx) pair, so results
+// are independent of batch composition, worker count, and scheduling.
 func (e *Estimator) EstimateItems(items []BatchItem, workers int) ([]float64, []error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -651,35 +679,12 @@ func (e *Estimator) EstimateItems(items []BatchItem, workers int) ([]float64, []
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// With several workers, each runs its kernels inline so the
-			// batch never schedules workers × kernel-chunk goroutines.
-			serial := workers > 1
-			st := e.eng.acquire(e.psamples(), serial)
-			defer func() { st.release() }()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(items) {
 					return
 				}
-				it := &items[i]
-				ctx := it.Ctx
-				if ctx == nil {
-					ctx = context.Background()
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				seed, idx := it.Seed, it.Idx
-				if it.Auto {
-					seed, idx = e.cfg.Seed, e.qcount.Add(1)
-				}
-				var panicked bool
-				ests[i], errs[i], panicked = st.estimateSafe(ctx, it.Query, seed, idx)
-				if panicked {
-					st.discard()
-					st = e.eng.acquire(e.psamples(), serial)
-				}
+				ests[i], errs[i] = e.EstimateItem(items[i])
 			}
 		}()
 	}
@@ -688,33 +693,10 @@ func (e *Estimator) EstimateItems(items []BatchItem, workers int) ([]float64, []
 }
 
 // EstimateSeededIndexed runs one estimate whose randomness derives from the
-// caller's (seed, idx) pair — the single-query seeded serving path.
+// caller's (seed, idx) pair — the in-process reference every served seeded
+// estimate must reproduce.
 func (e *Estimator) EstimateSeededIndexed(q query.Query, seed, idx int64) (float64, error) {
 	st := e.eng.acquire(e.psamples(), false)
 	defer st.release()
 	return st.estimateSeeded(context.Background(), q, seed, idx)
-}
-
-// EstimateSeededIndexedCtx is EstimateSeededIndexed bounded by ctx and
-// hardened for serving: deadline expiry mid-sampling returns ctx.Err(), and
-// a panic inside the estimate is recovered into an ErrEstimatePanic error
-// (the session it poisoned is discarded rather than pooled).
-func (e *Estimator) EstimateSeededIndexedCtx(ctx context.Context, q query.Query, seed, idx int64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	st := e.eng.acquire(e.psamples(), false)
-	est, err, panicked := st.estimateSafe(ctx, q, seed, idx)
-	if panicked {
-		st.discard()
-	} else {
-		st.release()
-	}
-	return est, err
-}
-
-// EstimateCtx is Estimate bounded by ctx with the same panic hardening as
-// EstimateSeededIndexedCtx — the serving daemon's unseeded single-query path.
-func (e *Estimator) EstimateCtx(ctx context.Context, q query.Query) (float64, error) {
-	return e.EstimateSeededIndexedCtx(ctx, q, e.cfg.Seed, e.qcount.Add(1))
 }

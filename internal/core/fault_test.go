@@ -20,11 +20,14 @@ func TestDeadlineCancelsMidSampling(t *testing.T) {
 	est := trainedEstimator(t)
 	q := query.Query{Tables: []string{"A", "B", "C"}}
 
-	// Already cancelled: fails up front.
+	// Already cancelled: fails up front, before a session is checked out.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := est.EstimateSeededIndexedCtx(cancelled, q, 1, 1); !errors.Is(err, context.Canceled) {
+	if _, err := est.EstimateItem(core.BatchItem{Query: q, Seed: 1, Idx: 1, Ctx: cancelled}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
+	}
+	if free, inUse := est.SessionPoolStats(); free+inUse != 0 {
+		t.Fatalf("cancelled item built a session: pool free=%d inUse=%d", free, inUse)
 	}
 
 	// Expires mid-sampling: every kernel pass stalls 20ms, so a 5ms deadline
@@ -34,7 +37,7 @@ func TestDeadlineCancelsMidSampling(t *testing.T) {
 	ctx, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel2()
 	start := time.Now()
-	_, err := est.EstimateSeededIndexedCtx(ctx, q, 1, 2)
+	_, err := est.EstimateItem(core.BatchItem{Query: q, Seed: 1, Idx: 2, Ctx: ctx})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline ctx: err = %v, want context.DeadlineExceeded", err)
 	}
@@ -46,7 +49,7 @@ func TestDeadlineCancelsMidSampling(t *testing.T) {
 	faultinject.Disarm()
 
 	// The estimator still serves normally afterwards.
-	if _, err := est.EstimateSeededIndexedCtx(context.Background(), q, 1, 3); err != nil {
+	if _, err := est.EstimateItem(core.BatchItem{Query: q, Seed: 1, Idx: 3}); err != nil {
 		t.Fatalf("estimate after deadline failures: %v", err)
 	}
 
@@ -88,13 +91,13 @@ func TestEstimatePanicPositional(t *testing.T) {
 			t.Fatalf("item %d err = %v, want ErrEstimatePanic", i, err)
 		}
 	}
-	if _, err := est.EstimateSeededIndexedCtx(context.Background(), q, 1, 4); !errors.Is(err, core.ErrEstimatePanic) {
+	if _, err := est.EstimateItem(core.BatchItem{Query: q, Seed: 1, Idx: 4}); !errors.Is(err, core.ErrEstimatePanic) {
 		t.Fatalf("single-path err = %v, want ErrEstimatePanic", err)
 	}
 	faultinject.Disarm()
 
 	// Recovery: fresh sessions, correct results, unchanged determinism.
-	want, err := est.EstimateSeededIndexedCtx(context.Background(), q, 9, 9)
+	want, err := est.EstimateItem(core.BatchItem{Query: q, Seed: 9, Idx: 9})
 	if err != nil {
 		t.Fatalf("estimate after panics: %v", err)
 	}

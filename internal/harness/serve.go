@@ -101,8 +101,8 @@ func ServeLoad(o Options) (*ServeLoadResult, error) {
 
 	// Wire-level equivalence check: served seeded estimates must equal the
 	// original estimator's to 1e-9, and the binary protocol must agree with
-	// JSON bit-for-bit (the coalescer fuses both, so this also certifies
-	// that coalescing does not perturb results).
+	// JSON bit-for-bit (both run on the estimate lanes' inline kernels, so
+	// this also certifies that lane concurrency does not perturb results).
 	client := ts.Client()
 	nCheck := 8
 	if nCheck > len(wire) {

@@ -7,41 +7,28 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"neurocard/internal/core"
 	"neurocard/internal/query"
 )
 
-// The request coalescer fuses concurrent single-query estimate requests into
-// shared EstimateItems batches: one flush resolves the registry entry once,
-// checks out pooled sessions once, and runs every fused query with its own
-// (seed, idx) randomness, so coalescing never changes any individual result
-// (a seeded request fused into a batch of 40 returns the bit-identical
-// estimate it would have returned alone). Each model name has one fuser
-// goroutine; requests enqueue into a bounded channel (admission control —
-// a full queue answers 429 + Retry-After instead of growing latency without
-// bound) and the fuser collects up to FuseMaxBatch queries or an adaptive
-// latency window before flushing. The window tracks load: it opens toward
-// FuseWindow while flushes are fusing many requests and decays to zero when
-// traffic is a trickle, so an idle server's p50 never pays the batching
-// budget. See DESIGN.md §2.5.
+// Estimate lanes serve single-query requests: one bounded server-wide queue
+// (admission control — a full queue answers 429 + Retry-After instead of
+// growing latency without bound) drained by as many persistent lane
+// goroutines as batch estimates get workers (Config.Workers, default
+// GOMAXPROCS). A lane takes one pending request, resolves the registry entry
+// at pick-up — so a hot swap lands on the very next request — and runs the
+// estimate on its own goroutine with inline kernels. Concurrent requests run
+// on concurrent lanes, one per core; a request arriving while every lane is
+// busy waits in the queue for the first to finish. Each request carries its
+// own (seed, idx) randomness, so who else is in flight never changes a
+// result. See DESIGN.md §2.5.
 
-// Clock abstracts the coalescer's window timer so tests can hold a flush
-// open deterministically. The zero Config uses the real time package.
-type Clock interface {
-	After(d time.Duration) <-chan time.Time
-}
-
-type realClock struct{}
-
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// Coalescer sentinel errors, mapped onto HTTP statuses by the handler.
+// Lane sentinel errors, mapped onto HTTP statuses by the handler.
 var (
-	// errSaturated reports an admission-control rejection: the model's
-	// pending queue is full. Handlers answer 429 with Retry-After.
+	// errSaturated reports an admission-control rejection: the pending
+	// queue is full. Handlers answer 429 with Retry-After.
 	errSaturated = errors.New("server: estimate queue saturated, retry later")
 	// errClosing reports a request caught in server shutdown.
 	errClosing = errors.New("server: shutting down")
@@ -53,248 +40,109 @@ var (
 	errBreakerOpen = errors.New("server: model circuit open and no fallback estimator configured")
 )
 
-// fuseAdaptRamp is the fused-batch-size EWMA at which the adaptive window
-// reaches its full configured budget; below it the window scales linearly
-// down to zero at an EWMA of 1 (pure single-request trickle).
-const fuseAdaptRamp = 16.0
-
-// pendingEstimate is one enqueued single-query request waiting for a fused
-// flush. Pooled: the done channel is reused across requests. ctx carries the
-// request's deadline into the fused batch, so one slow straggler can expire
-// mid-flush without touching its batchmates.
+// pendingEstimate is one enqueued single-query request waiting for a lane.
+// Pooled: the done channel is reused across requests. The item's Ctx carries
+// the request's deadline onto the lane, so a request that expired while
+// queued is skipped and one that expires mid-sampling stops cooperatively.
 type pendingEstimate struct {
-	q    query.Query
-	ctx  context.Context
-	seed int64
-	auto bool // unseeded: draw (config seed, fresh index) at execution
-	done chan fuseResult
+	model    string // resolved to a registry entry at pick-up
+	item     core.BatchItem
+	enqueued time.Time
+	done     chan laneResult
 }
 
-type fuseResult struct {
+type laneResult struct {
 	est float64
 	err error
 }
 
 var pendingPool = sync.Pool{
-	New: func() any { return &pendingEstimate{done: make(chan fuseResult, 1)} },
+	New: func() any { return &pendingEstimate{done: make(chan laneResult, 1)} },
 }
 
-// fuser coalesces single-query requests addressed to one model name. The
-// registry entry is resolved per flush, not per fuser, so hot swaps take
-// effect on the very next batch.
-type fuser struct {
-	s     *Server
-	model string
-	queue chan *pendingEstimate
-
-	ewma      float64      // fused-batch-size EWMA; loop goroutine only
-	window    atomic.Int64 // current adaptive window, ns (metrics read it)
-	collected atomic.Int64 // lifetime pendings admitted to a batch (tests poll it)
-}
-
-// fuserFor returns the model's fuser, starting its loop on first use.
-func (s *Server) fuserFor(model string) *fuser {
-	if f, ok := s.fusers.Load(model); ok {
-		return f.(*fuser)
-	}
-	f := &fuser{
-		s:     s,
-		model: model,
-		queue: make(chan *pendingEstimate, s.cfg.FuseQueue),
-		ewma:  1,
-	}
-	// Start fully open: the first flushes under a fresh burst fuse
-	// aggressively, and a trickle load decays the window to zero within a
-	// few flushes (see adapt).
-	f.window.Store(int64(s.cfg.FuseWindow))
-	if actual, loaded := s.fusers.LoadOrStore(model, f); loaded {
-		return actual.(*fuser)
-	}
-	go f.run()
-	return f
-}
-
-// coalesce submits one single-query estimate to the model's fuser and waits
-// for its fused result. seed == nil requests an independent unseeded sample
-// (Estimate semantics); a non-nil seed reproduces EstimateSeededIndexed(q,
-// *seed, 0) exactly.
-func (s *Server) coalesce(ctx context.Context, model string, q query.Query, seed *int64) (float64, error) {
-	// The handler resolved the model before calling us (404 fast path); the
-	// flush re-resolves so it always serves the freshest hot-swapped entry.
+// laneEstimate submits one single-query estimate to the lanes and waits for
+// its result. seed == nil requests an independent unseeded sample (Estimate
+// semantics); a non-nil seed reproduces EstimateSeededIndexed(q, *seed, 0)
+// exactly.
+func (s *Server) laneEstimate(ctx context.Context, model string, q query.Query, seed *int64) (float64, error) {
 	p := pendingPool.Get().(*pendingEstimate)
-	p.q = q
-	p.ctx = ctx
+	p.model = model
+	p.item = core.BatchItem{Query: q, Auto: seed == nil, Ctx: ctx}
 	if seed != nil {
-		p.seed, p.auto = *seed, false
-	} else {
-		p.seed, p.auto = 0, true
+		p.item.Seed = *seed
 	}
-	f := s.fuserFor(model)
+	p.enqueued = time.Now()
 	select {
-	case f.queue <- p:
+	case s.queue <- p:
 	default:
 		pendingPool.Put(p)
-		s.metrics.coalesceRejected.Add(1)
+		s.metrics.laneRejected.Add(1)
 		return 0, errSaturated
 	}
 	select {
 	case res := <-p.done:
-		p.q = query.Query{} // drop references before pooling
-		p.ctx = nil
+		p.item = core.BatchItem{} // drop references before pooling
 		pendingPool.Put(p)
 		return res.est, res.err
 	case <-s.closing:
-		// The pending stays un-pooled: the fuser may still write its done
+		// The pending stays un-pooled: a lane may still write its done
 		// channel after we stop listening.
 		return 0, errClosing
 	case <-ctx.Done():
-		// Deadline expired (or the client hung up) while queued or fused.
-		// The pending stays un-pooled for the same reason as above; the
-		// fused item carries ctx, so its sampling stops cooperatively too.
+		// Deadline expired (or the client hung up) while queued or running.
+		// The pending stays un-pooled for the same reason as above; the item
+		// carries ctx, so a lane skips it or stops its sampling.
 		return 0, ctx.Err()
 	}
 }
 
-// run is the fuser loop: block for the first pending, drain opportunistically,
-// then hold the batch open for the adaptive window (or until full), flush,
-// repeat. The flush runs inline — arrivals during a flush buffer in the
-// queue and form the next batch, which is exactly the pipelining that keeps
-// sessions busy without oversubscribing the kernels.
-func (f *fuser) run() {
-	// Blast-radius containment: a panic anywhere in the loop (the estimate
-	// itself is additionally guarded in flush) restarts the fuser goroutine
-	// instead of leaving the model with a dead coalescer — queued requests
-	// keep their place and the next iteration drains them.
-	defer func() {
-		if r := recover(); r != nil {
-			f.s.metrics.panicsTotal.Add(1)
-			select {
-			case <-f.s.closing:
-			default:
-				go f.run()
-			}
-		}
-	}()
-	maxBatch := f.s.cfg.FuseMaxBatch
-	batch := make([]*pendingEstimate, 0, maxBatch)
-	items := make([]core.BatchItem, 0, maxBatch)
+// lane is one estimate lane's loop: serve pendings one at a time until the
+// server closes.
+func (s *Server) lane() {
+	defer s.laneWG.Done()
 	for {
 		select {
-		case p := <-f.queue:
-			batch = append(batch[:0], p)
-			f.collected.Add(1)
-		case <-f.s.closing:
+		case p := <-s.queue:
+			s.serve(p)
+		case <-s.closing:
 			return
 		}
-		// Opportunistic non-blocking drain: whatever queued while the
-		// previous flush ran fuses immediately, no window needed.
-	drain:
-		for len(batch) < maxBatch {
-			select {
-			case p := <-f.queue:
-				batch = append(batch, p)
-				f.collected.Add(1)
-			default:
-				break drain
-			}
-		}
-		// Hold the batch open for the adaptive window to give concurrent
-		// requests a chance to fuse. Skipped entirely when the window has
-		// decayed to zero (idle) or the batch is already full.
-		if w := time.Duration(f.window.Load()); w > 0 && len(batch) < maxBatch {
-			timer := f.s.cfg.Clock.After(w)
-		collect:
-			for len(batch) < maxBatch {
-				select {
-				case p := <-f.queue:
-					batch = append(batch, p)
-					f.collected.Add(1)
-				case <-timer:
-					break collect
-				case <-f.s.closing:
-					f.failAll(batch, errClosing)
-					return
-				}
-			}
-		}
-		f.adapt(len(batch))
-		f.flush(batch, items[:0])
 	}
 }
 
-// adapt updates the fused-batch-size EWMA and derives the next window:
-// full budget at an EWMA of fuseAdaptRamp or more, linearly down to zero at
-// an EWMA of 1 — so sustained concurrency keeps the window open while an
-// idle or trickle load stops paying the latency budget within a few flushes.
-func (f *fuser) adapt(batchSize int) {
-	const alpha = 0.25
-	f.ewma = (1-alpha)*f.ewma + alpha*float64(batchSize)
-	frac := (f.ewma - 1) / (fuseAdaptRamp - 1)
-	if frac < 0 {
-		frac = 0
-	} else if frac > 1 {
-		frac = 1
-	}
-	f.window.Store(int64(frac * float64(f.s.cfg.FuseWindow)))
-}
-
-// flush resolves the model once, runs every pending query in a single
-// EstimateItems call over the pooled sessions, and fans results back.
-func (f *fuser) flush(batch []*pendingEstimate, items []core.BatchItem) {
-	m := f.s.metrics
-	m.fusedBatchSize.observe(float64(len(batch)))
-	m.coalesceQueueDepth.observe(float64(len(f.queue)))
-	m.coalesceWindow.observe(time.Duration(f.window.Load()).Seconds())
-
-	entry, err := f.s.reg.Get(f.model)
-	if err != nil {
-		f.failAll(batch, err)
-		return
-	}
-	for _, p := range batch {
-		items = append(items, core.BatchItem{Query: p.q, Seed: p.seed, Auto: p.auto, Ctx: p.ctx})
-	}
-	ests, errs, panicErr := f.estimateItemsSafe(entry, items)
-	if panicErr != nil {
-		f.failAll(batch, panicErr)
-		return
-	}
-	for i, p := range batch {
-		res := fuseResult{est: ests[i], err: errs[i]}
-		if res.err == nil && (math.IsNaN(res.est) || math.IsInf(res.est, 0) || res.est <= 0) {
-			res.err = fmt.Errorf("%w %g", errNonFinite, res.est)
-			m.nonfiniteTotal.Add(1)
-		}
-		p.done <- res
-	}
-}
-
-// estimateItemsSafe runs the fused batch with a panic net. EstimateItems
-// already converts per-item panics into positional errors; this guard is the
-// second line of defense (a bug in EstimateItems itself, or in the registry
-// entry) and turns a would-be fuser death into one failed batch. The recover
-// fires before any done channel is written, so failAll never double-answers.
-func (f *fuser) estimateItemsSafe(entry *Entry, items []core.BatchItem) (ests []float64, errs []error, panicErr error) {
+// serve runs one pending on the calling lane and answers it exactly once.
+// EstimateItem already turns an expired context into its error (without
+// checking out a session) and a panic inside the estimate into an
+// ErrEstimatePanic error; the recover here is the second line of defense — a
+// bug in the registry or in EstimateItem itself fails one request instead of
+// killing the lane and stranding everything queued behind it.
+func (s *Server) serve(p *pendingEstimate) {
+	m := s.metrics
+	m.laneConcurrency.observe(float64(s.lanesBusy.Add(1)))
+	m.laneQueueDepth.observe(float64(len(s.queue)))
+	m.laneQueueWait.observeDuration(time.Since(p.enqueued))
+	var res laneResult
 	defer func() {
 		if r := recover(); r != nil {
-			f.s.metrics.panicsTotal.Add(1)
-			panicErr = fmt.Errorf("%w: %v", core.ErrEstimatePanic, r)
+			res = laneResult{err: fmt.Errorf("%w: %v", core.ErrEstimatePanic, r)}
 		}
+		if errors.Is(res.err, core.ErrEstimatePanic) {
+			m.panicsTotal.Add(1)
+		}
+		s.lanesBusy.Add(-1)
+		p.done <- res
 	}()
-	ests, errs = entry.Est.EstimateItems(items, f.s.estimateWorkers(0, len(items)))
-	return ests, errs, nil
-}
-
-// failAll answers every pending in batch with err.
-func (f *fuser) failAll(batch []*pendingEstimate, err error) {
-	for _, p := range batch {
-		p.done <- fuseResult{err: err}
+	entry, err := s.reg.Get(p.model)
+	if err != nil {
+		res.err = err
+		return
 	}
+	res.est, res.err = entry.Est.EstimateItem(p.item)
 }
 
 // estimateWorkers bounds the concurrency of one estimate call: the client's
 // requested workers (0 = server default = GOMAXPROCS), capped at the core
-// count and the batch size.
+// count and the batch size. estimateWorkers(0, math.MaxInt) is the lane count.
 func (s *Server) estimateWorkers(requested, batchLen int) int {
 	maxWorkers := runtime.GOMAXPROCS(0)
 	workers := requested
@@ -310,28 +158,20 @@ func (s *Server) estimateWorkers(requested, batchLen int) int {
 	return workers
 }
 
-// CoalesceStats is a point-in-time snapshot of one model's fuser, surfaced
-// on /metrics.
-type CoalesceStats struct {
-	Model      string
-	QueueDepth int           // pendings waiting right now
-	QueueCap   int           // admission-control bound
-	Window     time.Duration // current adaptive collection window
+// startLanes launches the lane goroutines; Close stops and waits for them.
+func (s *Server) startLanes() {
+	s.lanes = s.estimateWorkers(0, math.MaxInt)
+	s.laneWG.Add(s.lanes)
+	for i := 0; i < s.lanes; i++ {
+		go s.lane()
+	}
 }
 
-// coalesceStats snapshots every active fuser, sorted by model name later by
-// the metrics renderer (fusers iterates in map order).
-func (s *Server) coalesceStats() []CoalesceStats {
-	var out []CoalesceStats
-	s.fusers.Range(func(k, v any) bool {
-		f := v.(*fuser)
-		out = append(out, CoalesceStats{
-			Model:      k.(string),
-			QueueDepth: len(f.queue),
-			QueueCap:   cap(f.queue),
-			Window:     time.Duration(f.window.Load()),
-		})
-		return true
-	})
-	return out
+// laneStats is a point-in-time snapshot of the lanes, surfaced on /metrics.
+type laneStats struct {
+	lanes, busy, queued int
+}
+
+func (s *Server) laneStats() laneStats {
+	return laneStats{lanes: s.lanes, busy: int(s.lanesBusy.Load()), queued: len(s.queue)}
 }

@@ -1,27 +1,29 @@
 package server
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"neurocard/internal/core"
+	"neurocard/internal/faultinject"
 	"neurocard/internal/query"
 	"neurocard/internal/schema"
 	"neurocard/internal/table"
 	"neurocard/internal/value"
 )
 
-// coalesceEstimator trains a small estimator for the white-box coalescer
-// tests (the black-box suite has its own builder in package server_test).
+// coalesceEstimator trains a small estimator for the white-box lane tests
+// (the black-box suite has its own builder in package server_test).
 func coalesceEstimator(t *testing.T, seed int64, tuples int) *core.Estimator {
 	t.Helper()
 	a := table.MustBuilder("A", []table.ColSpec{
@@ -70,39 +72,6 @@ func coalesceEstimator(t *testing.T, seed int64, tuples int) *core.Estimator {
 	return est
 }
 
-// fakeClock is a Clock whose timers only fire when the test says so. Each
-// After call signals afterCalled, so tests can sequence "fuser is now holding
-// the window open" deterministically.
-type fakeClock struct {
-	mu          sync.Mutex
-	pending     []chan time.Time
-	afterCalled chan struct{}
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{afterCalled: make(chan struct{}, 64)}
-}
-
-func (c *fakeClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	c.mu.Lock()
-	c.pending = append(c.pending, ch)
-	c.mu.Unlock()
-	c.afterCalled <- struct{}{}
-	return ch
-}
-
-// fire releases every timer created so far.
-func (c *fakeClock) fire() {
-	c.mu.Lock()
-	pending := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	for _, ch := range pending {
-		ch <- time.Time{}
-	}
-}
-
 // waitFor polls until cond holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -115,24 +84,60 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestCoalesceWindowFlushFusesBatch drives the window-timeout flush with a
-// fake clock: the fuser holds the window open until the test fires the timer,
-// several requests arrive meanwhile, and one fused flush answers all of them
-// — each with the result it would have produced alone (seeded requests fuse
-// as (seed, 0), bit-identical to EstimateSeededIndexed).
-func TestCoalesceWindowFlushFusesBatch(t *testing.T) {
-	clock := newFakeClock()
-	srv := New(Config{
-		ModelsDir:  t.TempDir(),
-		FuseWindow: time.Hour, // effectively "until the test fires it"
-		Clock:      clock,
-	})
+// atLeastTwoProcs raises GOMAXPROCS to 2 for the test when it is lower, so a
+// server built inside it gets two lanes even under -cpu 1.
+func atLeastTwoProcs(t *testing.T) {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// armFaults arms the process-global fault-injection layer for the test.
+func armFaults(t *testing.T, c faultinject.Config) {
+	t.Helper()
+	faultinject.Arm(c)
+	t.Cleanup(faultinject.Disarm)
+}
+
+// do serves one request in-process and returns the recorded response.
+func do(srv *Server, method, path, contentType string, body []byte, hdr map[string]string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, path, bytes.NewReader(body))
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	return rec
+}
+
+// singleJSON is the body of an unseeded single-query request.
+func singleJSON(t *testing.T, model string, tables []string) []byte {
+	t.Helper()
+	b, err := json.Marshal(EstimateRequest{Model: model, Query: &QueryJSON{Tables: tables}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestLaneSeededBitEquality sends seeded singles concurrently in both wire
+// formats: every lane answer equals the estimate the query produces alone
+// in-process — EstimateSeededIndexed(q, seed, 0), which runs the pool kernels
+// while lanes run them inline — and the NCB answer equals the JSON answer bit
+// for bit, whoever else is in flight.
+func TestLaneSeededBitEquality(t *testing.T) {
+	atLeastTwoProcs(t)
+	srv := New(Config{ModelsDir: t.TempDir()})
 	defer srv.Close()
 	est := coalesceEstimator(t, 7, 256)
 	if _, err := srv.reg.Install("m", "mem", est); err != nil {
 		t.Fatal(err)
 	}
-
 	queries := []query.Query{
 		{Tables: []string{"A", "B", "C"}},
 		{Tables: []string{"A"}, Filters: []query.Filter{
@@ -141,168 +146,233 @@ func TestCoalesceWindowFlushFusesBatch(t *testing.T) {
 		{Tables: []string{"A", "B"}},
 	}
 	seed := int64(41)
-	ests := make([]float64, len(queries))
-	errs := make([]error, len(queries))
+	jsonEsts := make([]float64, len(queries))
+	binEsts := make([]float64, len(queries))
+	errs := make(chan error, 2*len(queries))
 	var wg sync.WaitGroup
-
-	// First request: the fuser opens a batch and parks on the window timer.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ests[0], errs[0] = srv.coalesce(context.Background(), "m", queries[0], &seed)
-	}()
-	<-clock.afterCalled
-	f := srv.fuserFor("m")
-	waitFor(t, "first request collected", func() bool { return f.collected.Load() == 1 })
-
-	// The rest arrive while the window is open and must join the same batch.
-	for i := 1; i < len(queries); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ests[i], errs[i] = srv.coalesce(context.Background(), "m", queries[i], &seed)
-		}(i)
-	}
-	waitFor(t, "all requests collected", func() bool {
-		return f.collected.Load() == int64(len(queries))
-	})
-	clock.fire()
-	wg.Wait()
-
 	for i, q := range queries {
-		if errs[i] != nil {
-			t.Fatalf("query %d: %v", i, errs[i])
+		qj, err := EncodeQuery(q)
+		if err != nil {
+			t.Fatal(err)
 		}
+		body, _ := json.Marshal(EstimateRequest{Query: &qj, Seed: &seed})
+		frame := AppendBinRequest(nil, "m", &seed, []query.Query{q})
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			rec := do(srv, "POST", "/v1/estimate", "application/json", body, nil)
+			var er EstimateResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusOK || er.Est == nil {
+				errs <- fmt.Errorf("json query %d: %d %s", i, rec.Code, rec.Body)
+				return
+			}
+			jsonEsts[i] = *er.Est
+		}()
+		go func() {
+			defer wg.Done()
+			rec := do(srv, "POST", "/v1/estimate", ContentTypeBinary, frame, nil)
+			br, err := DecodeBinResponse(rec.Body.Bytes())
+			if err != nil || rec.Code != http.StatusOK || len(br.Ests) != 1 {
+				errs <- fmt.Errorf("ncb query %d: %d %v", i, rec.Code, err)
+				return
+			}
+			binEsts[i] = br.Ests[0]
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i, q := range queries {
 		want, err := est.EstimateSeededIndexed(q, seed, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(ests[i]-want) > 1e-9*math.Max(1, want) {
-			t.Fatalf("query %d: coalesced %.17g, alone %.17g — fusing changed the result", i, ests[i], want)
+		if math.Abs(jsonEsts[i]-want) > 1e-9*math.Max(1, want) {
+			t.Fatalf("query %d: lane %.17g, alone %.17g — concurrency changed the result", i, jsonEsts[i], want)
+		}
+		if math.Float64bits(binEsts[i]) != math.Float64bits(jsonEsts[i]) {
+			t.Fatalf("query %d: NCB %.17g != JSON %.17g", i, binEsts[i], jsonEsts[i])
 		}
 	}
-
-	// Exactly one flush of the full batch.
-	m := srv.metrics
-	if n := m.fusedBatchSize.samples.Load(); n != 1 {
-		t.Fatalf("fused flushes = %d, want 1", n)
-	}
-	if s := m.fusedBatchSize.sum(); s != float64(len(queries)) {
-		t.Fatalf("fused batch total = %g, want %d", s, len(queries))
+	if n := srv.metrics.laneConcurrency.samples.Load(); n != int64(2*len(queries)) {
+		t.Fatalf("lane pick-ups = %d, want one per request (%d)", n, 2*len(queries))
 	}
 }
 
-// TestCoalesceBackpressure fills a tiny coalescer queue whose fuser never
-// drains (installed without a running loop) and checks admission control:
-// the overflow request gets 429 + Retry-After, and the queued request gets
-// 503 when the server shuts down.
-func TestCoalesceBackpressure(t *testing.T) {
-	srv := New(Config{ModelsDir: t.TempDir(), FuseQueue: 1})
-	est := coalesceEstimator(t, 7, 256)
-	if _, err := srv.reg.Install("m", "mem", est); err != nil {
+// TestLaneBackpressure holds requests in a one-slot queue no lane drains and
+// checks admission control: the overflow request gets 429 + Retry-After, and
+// the queued request gets 503 when the server shuts down. The queued request
+// names the default model as "" and the overflow request names it "m": one
+// model, one server-wide bound (keyed on the raw request string they used to
+// get a queue each).
+func TestLaneBackpressure(t *testing.T) {
+	srv := newServer(Config{ModelsDir: t.TempDir(), FuseQueue: 1})
+	if _, err := srv.reg.Install("m", "mem", coalesceEstimator(t, 7, 256)); err != nil {
 		t.Fatal(err)
 	}
-	// A dead fuser: requests enqueue, nothing ever flushes. fuserFor finds
-	// it in the map and never starts a loop for it.
-	srv.fusers.Store("m", &fuser{
-		s:     srv,
-		model: "m",
-		queue: make(chan *pendingEstimate, srv.cfg.FuseQueue),
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	body := `{"model":"m","query":{"tables":["A"]}}`
-	type result struct {
-		status int
-	}
-	first := make(chan result, 1)
+	first := make(chan int, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/v1/estimate", "application/json", strings.NewReader(body))
-		if err != nil {
-			first <- result{-1}
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		first <- result{resp.StatusCode}
+		first <- do(srv, "POST", "/v1/estimate", "application/json", singleJSON(t, "", []string{"A"}), nil).Code
 	}()
-
-	f, _ := srv.fusers.Load("m")
-	waitFor(t, "queue to fill", func() bool { return len(f.(*fuser).queue) == 1 })
+	waitFor(t, "queue to fill", func() bool { return len(srv.queue) == 1 })
 
 	// Queue is full: the next request must be rejected, not queued.
-	resp, err := http.Post(ts.URL+"/v1/estimate", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	rec := do(srv, "POST", "/v1/estimate", "application/json", singleJSON(t, "m", []string{"A"}), nil)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("saturated estimate: %d %s, want 429", rec.Code, rec.Body)
 	}
-	rejBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated estimate: %d %s, want 429", resp.StatusCode, rejBody)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
+	if ra := rec.Header().Get("Retry-After"); ra == "" {
 		t.Fatal("429 without Retry-After header")
 	}
-	var er struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(rejBody, &er); err != nil || er.Error == "" {
-		t.Fatalf("429 body %q", rejBody)
-	}
-	if n := srv.metrics.coalesceRejected.Load(); n != 1 {
-		t.Fatalf("coalesceRejected = %d, want 1", n)
+	var er errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
+		t.Fatalf("429 body %q", rec.Body)
 	}
 
 	// Shutdown fails the queued request with 503.
 	srv.Close()
-	if r := <-first; r.status != http.StatusServiceUnavailable {
-		t.Fatalf("queued request on shutdown: %d, want 503", r.status)
+	if code := <-first; code != http.StatusServiceUnavailable {
+		t.Fatalf("queued request on shutdown: %d, want 503", code)
 	}
 
 	// And the rejection shows up on /metrics.
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(string(mbody), "neurocard_coalesce_rejected_total 1") {
-		t.Fatalf("metrics missing rejection counter:\n%s", mbody)
+	if text := do(srv, "GET", "/metrics", "", nil, nil).Body.String(); !strings.Contains(text, "neurocard_coalesce_rejected_total 1") {
+		t.Fatalf("metrics missing rejection counter:\n%s", text)
 	}
 }
 
-// TestCoalesceAdaptiveWindowDecays checks the load-adaptive window: a fresh
-// fuser starts with the full budget, and a trickle of one-query flushes
-// drives the window to zero so idle traffic stops paying the batching
-// latency.
-func TestCoalesceAdaptiveWindowDecays(t *testing.T) {
-	srv := New(Config{ModelsDir: t.TempDir(), FuseWindow: 2 * time.Millisecond})
+// TestLanesDoNotGrowWithModels: the lanes are the server's, not a model's —
+// serving a model under a new name, by name and as the default, then
+// unloading it, leaves no goroutine behind.
+func TestLanesDoNotGrowWithModels(t *testing.T) {
+	srv := New(Config{ModelsDir: t.TempDir()})
+	defer srv.Close()
+	est := coalesceEstimator(t, 7, 256)
+	cycle := func(name string) {
+		if _, err := srv.reg.Install(name, "mem", est); err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range []string{name, ""} {
+			if rec := do(srv, "POST", "/v1/estimate", "application/json", singleJSON(t, model, []string{"A"}), nil); rec.Code != http.StatusOK {
+				t.Fatalf("estimate on %q as %q: %d %s", name, model, rec.Code, rec.Body)
+			}
+		}
+		if rec := do(srv, "DELETE", "/v1/models/"+name, "", nil, nil); rec.Code != http.StatusOK {
+			t.Fatalf("unload %q: %d %s", name, rec.Code, rec.Body)
+		}
+	}
+	cycle("m0")
+	before := runtime.NumGoroutine()
+	for i := 1; i <= 8; i++ {
+		cycle(fmt.Sprintf("m%d", i))
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines grew from %d to %d across 8 load/unload cycles", before, after)
+	}
+}
+
+// TestLanesRunSinglesConcurrently is the point of the lanes: with two of them
+// and every kernel pass stalled, two single-query requests hold a session
+// each at the same time. One flush at a time never got past one.
+func TestLanesRunSinglesConcurrently(t *testing.T) {
+	atLeastTwoProcs(t)
+	srv := New(Config{ModelsDir: t.TempDir()})
+	defer srv.Close()
+	if _, err := srv.reg.Install("m", "mem", coalesceEstimator(t, 7, 256)); err != nil {
+		t.Fatal(err)
+	}
+	armFaults(t, faultinject.Config{KernelDelayProb: 1, KernelDelay: 20 * time.Millisecond})
+	var wg sync.WaitGroup
+	for k := 0; k < 2; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if rec := do(srv, "POST", "/v1/estimate", "application/json", singleJSON(t, "m", []string{"A", "B", "C"}), nil); rec.Code != http.StatusOK {
+				t.Errorf("estimate: %d %s", rec.Code, rec.Body)
+			}
+		}()
+	}
+	waitFor(t, "two sessions in use", func() bool {
+		return strings.Contains(do(srv, "GET", "/metrics", "", nil, nil).Body.String(),
+			`neurocard_sessions_in_use{model="m"} 2`)
+	})
+	if text := do(srv, "GET", "/metrics", "", nil, nil).Body.String(); !strings.Contains(text, "neurocard_estimate_lanes_busy 2") {
+		t.Errorf("two estimates in flight, metrics do not show two busy lanes:\n%s", text)
+	}
+	wg.Wait()
+}
+
+// TestLaneSkipsExpiredRequest: a request whose deadline expires while it is
+// queued answers 504, and the lane that later picks it up skips it without
+// checking out a session.
+func TestLaneSkipsExpiredRequest(t *testing.T) {
+	srv := newServer(Config{ModelsDir: t.TempDir()})
 	defer srv.Close()
 	est := coalesceEstimator(t, 7, 256)
 	if _, err := srv.reg.Install("m", "mem", est); err != nil {
 		t.Fatal(err)
 	}
-	f := srv.fuserFor("m")
-	if w := time.Duration(f.window.Load()); w != 2*time.Millisecond {
-		t.Fatalf("fresh fuser window = %v, want the full 2ms budget", w)
+	rec := do(srv, "POST", "/v1/estimate", "application/json", singleJSON(t, "m", []string{"A"}),
+		map[string]string{"X-Deadline-Ms": "5"})
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("expired while queued: %d %s, want 504", rec.Code, rec.Body)
 	}
-	q := query.Query{Tables: []string{"A"}}
-	for i := 0; i < 3; i++ {
-		if _, err := srv.coalesce(context.Background(), "m", q, nil); err != nil {
-			t.Fatal(err)
-		}
+	if n := srv.metrics.timeoutsTotal.Load(); n != 1 {
+		t.Fatalf("timeoutsTotal = %d, want 1", n)
 	}
-	if w := time.Duration(f.window.Load()); w != 0 {
-		t.Fatalf("window after a single-request trickle = %v, want 0", w)
+	srv.startLanes()
+	waitFor(t, "a lane to pick the expired request up", func() bool {
+		return srv.metrics.laneConcurrency.samples.Load() == 1 && srv.lanesBusy.Load() == 0
+	})
+	if free, inUse := est.SessionPoolStats(); free+inUse != 0 {
+		t.Fatalf("expired request checked out a session: pool free=%d inUse=%d", free, inUse)
 	}
 }
 
-// TestCoalesceConcurrentHotSwap hammers the coalesced single-query path while
-// the model hot-swaps under it — run with -race in CI. Every response must be
-// a valid estimate from some generation; no torn state, no lost pendings.
-func TestCoalesceConcurrentHotSwap(t *testing.T) {
-	srv := New(Config{ModelsDir: t.TempDir(), FuseWindow: 500 * time.Microsecond})
+// TestLanePanicIsContained: a panic inside a lane's estimate fails that one
+// request — 500, or the degraded fallback answer when one is configured — is
+// counted, and the server's only lane keeps serving.
+func TestLanePanicIsContained(t *testing.T) {
+	for _, noFallback := range []bool{true, false} {
+		t.Run(fmt.Sprintf("NoFallback=%v", noFallback), func(t *testing.T) {
+			srv := New(Config{ModelsDir: t.TempDir(), Workers: 1, NoFallback: noFallback})
+			defer srv.Close()
+			if _, err := srv.reg.Install("m", "mem", coalesceEstimator(t, 7, 256)); err != nil {
+				t.Fatal(err)
+			}
+			body := singleJSON(t, "m", []string{"A", "B"})
+			armFaults(t, faultinject.Config{EstimatePanicProb: 1})
+			rec := do(srv, "POST", "/v1/estimate", "application/json", body, nil)
+			faultinject.Disarm()
+			if noFallback {
+				if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "panic") {
+					t.Fatalf("panicking estimate: %d %s, want 500 naming the panic", rec.Code, rec.Body)
+				}
+			} else {
+				var er EstimateResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusOK || !er.Degraded || er.Est == nil {
+					t.Fatalf("panicking estimate with a fallback: %d %s, want 200 degraded", rec.Code, rec.Body)
+				}
+			}
+			if text := do(srv, "GET", "/metrics", "", nil, nil).Body.String(); !strings.Contains(text, "neurocard_recovered_panics_total 1") {
+				t.Fatalf("recovered panic not counted:\n%s", text)
+			}
+			rec = do(srv, "POST", "/v1/estimate", "application/json", body, nil)
+			var er EstimateResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusOK || er.Degraded {
+				t.Fatalf("estimate after the panic: %d %s, want a healthy 200", rec.Code, rec.Body)
+			}
+		})
+	}
+}
+
+// TestLaneConcurrentHotSwap hammers the single-query path while the model
+// hot-swaps under it — run with -race in CI. Every response must be a valid
+// estimate from some generation; no torn state, no lost pendings.
+func TestLaneConcurrentHotSwap(t *testing.T) {
+	srv := New(Config{ModelsDir: t.TempDir()})
 	defer srv.Close()
 	gens := []*core.Estimator{coalesceEstimator(t, 7, 256), coalesceEstimator(t, 11, 256)}
 	if _, err := srv.reg.Install("m", "mem", gens[0]); err != nil {

@@ -5,11 +5,11 @@
 //
 // # Request path
 //
-// Concurrent single-query requests coalesce into batched estimates through
-// a per-model fuser (DESIGN.md §2.5); the same endpoint speaks a compact
-// binary protocol. Requests carry deadlines end to end, a per-model circuit
+// Single-query requests run on estimate lanes — one bounded queue drained
+// by one goroutine per core (DESIGN.md §2.5); batches run as one
+// EstimateItems call; the same endpoint speaks a compact binary protocol. Requests carry deadlines end to end, a per-model circuit
 // breaker routes repeated model failures to a histogram fallback estimator,
-// and panics are contained per request (DESIGN.md §2.6). Coalescing and the
+// and panics are contained per request (DESIGN.md §2.6). Concurrency and the
 // wire format never change results: each query keeps its own (seed, index)
 // randomness.
 //
@@ -23,5 +23,5 @@
 // /metrics exports per-model resident kernel bytes
 // (neurocard_model_weight_bytes) and the active width
 // (neurocard_model_precision_info) alongside the latency, SLO, breaker,
-// coalescer, and plan-cache series.
+// estimate-lane, and plan-cache series.
 package server

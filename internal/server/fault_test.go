@@ -250,7 +250,7 @@ func TestInjectedPanicIsContained(t *testing.T) {
 		t.Fatalf("body = %s, want the estimate-panic error", body)
 	}
 
-	// The panic must not have leaked a session or killed the coalescer:
+	// The panic must not have leaked a session or killed a lane:
 	// with faults off the very next request serves fine.
 	faultinject.Disarm()
 	resp, body = post(t, ts.URL+"/v1/estimate", singleEstimate(1))
@@ -270,7 +270,6 @@ func aggressiveBreaker() server.Config {
 		BreakerMinSamples: 4,
 		BreakerThreshold:  0.5,
 		BreakerCooldown:   time.Hour,
-		NoCoalesce:        true, // inline estimates: each request records exactly once
 	}
 }
 

@@ -20,7 +20,7 @@ var errShardMissing = errors.New("server: shard model not loaded")
 // serveLogical answers an estimate request addressed to a logical model.
 // Each query is split by the manifest's planner into per-shard sub-queries;
 // every sub-query runs through the same fault ladder as a direct request to
-// that shard — its breaker, coalescer, fallback, and sanity guard — and the
+// that shard — its breaker, an estimate lane, fallback, and sanity guard — and the
 // results are multiplied together with the plan's cross-shard factor. Fault
 // isolation is per shard: one open breaker degrades (or fails) only the
 // queries that route through it, and the response's Degraded flag is set
@@ -204,7 +204,7 @@ func (s *Server) serveLogical(ctx context.Context, w http.ResponseWriter, lg *Lo
 }
 
 // estimateLogical composes one query's estimate from its shard models,
-// running each sub-query through estimateSingle (breaker, coalescer,
+// running each sub-query through estimateSingle (breaker, estimate lane,
 // fallback). The whole query fails on the first failing sub-estimate; a
 // degraded sub-estimate degrades the composed result.
 func (s *Server) estimateLogical(ctx context.Context, lg *Logical, q query.Query, seed *int64) (est float64, degraded bool, err error) {
@@ -219,7 +219,7 @@ func (s *Server) estimateLogical(ctx context.Context, lg *Logical, q query.Query
 		if gerr != nil {
 			return 0, false, fmt.Errorf("shard %q: %w", sub.Shard, errShardMissing)
 		}
-		v, d, serr := s.estimateSingle(ctx, entry, sub.Shard, sub.Query, seed)
+		v, d, serr := s.estimateSingle(ctx, entry, sub.Query, seed)
 		if serr != nil {
 			return 0, false, fmt.Errorf("shard %q: %w", sub.Shard, serr)
 		}

@@ -18,14 +18,14 @@ var latencyBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// fusedBatchBuckets bound the coalescer's fused-batch-size histogram.
-var fusedBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+// lanesBusyBuckets bound the lanes-busy-at-pick-up histogram.
+var lanesBusyBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// queueDepthBuckets bound the coalescer's queue-depth-at-flush histogram.
+// queueDepthBuckets bound the queue-depth-at-pick-up histogram.
 var queueDepthBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// windowBuckets bound the adaptive-window histogram in seconds.
-var windowBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.002, 0.005, 0.01}
+// queueWaitBuckets bound the lane-queue-wait histogram in seconds.
+var queueWaitBuckets = []float64{0.00001, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.05, 0.25, 1}
 
 // histogram is a fixed-bucket histogram with atomic counters, safe for
 // concurrent observation without locks.
@@ -106,11 +106,15 @@ type metrics struct {
 
 	reqLatency *histogram // per-request wall time (estimate endpoint)
 
-	// Coalescer instruments, observed once per fused flush.
-	fusedBatchSize     *histogram
-	coalesceQueueDepth *histogram
-	coalesceWindow     *histogram
-	coalesceRejected   atomic.Int64 // admission-control 429s
+	// Estimate-lane instruments, each observed once per lane pick-up. They
+	// are exported under family names that predate the lanes (the ledger and
+	// dashboards read neurocard_fused_batch_size, _coalesce_queue_depth,
+	// _coalesce_window_seconds, _coalesce_rejected_total); the HELP lines
+	// state what they measure.
+	laneConcurrency *histogram   // lanes busy at pick-up, this one included
+	laneQueueDepth  *histogram   // requests still queued at pick-up
+	laneQueueWait   *histogram   // seconds the picked-up request waited in the queue
+	laneRejected    atomic.Int64 // admission-control 429s
 
 	queriesTotal  atomic.Int64 // individual query estimates served
 	requestsTotal atomic.Int64 // estimate HTTP requests served
@@ -121,7 +125,7 @@ type metrics struct {
 	// Fault-tolerance counters.
 	timeoutsTotal  atomic.Int64 // estimates failed on an expired deadline
 	fallbackTotal  atomic.Int64 // query estimates served by the fallback estimator
-	panicsTotal    atomic.Int64 // panics recovered in handlers/coalescer
+	panicsTotal    atomic.Int64 // panics recovered in handlers and lanes
 	nonfiniteTotal atomic.Int64 // estimates rejected by the sanity guard
 
 	// Sharded-serving counters.
@@ -141,12 +145,12 @@ type metrics struct {
 
 func newMetrics(sloP99 time.Duration) *metrics {
 	return &metrics{
-		start:              time.Now(),
-		sloP99:             sloP99,
-		reqLatency:         newHistogram(latencyBuckets),
-		fusedBatchSize:     newHistogram(fusedBatchBuckets),
-		coalesceQueueDepth: newHistogram(queueDepthBuckets),
-		coalesceWindow:     newHistogram(windowBuckets),
+		start:           time.Now(),
+		sloP99:          sloP99,
+		reqLatency:      newHistogram(latencyBuckets),
+		laneConcurrency: newHistogram(lanesBusyBuckets),
+		laneQueueDepth:  newHistogram(queueDepthBuckets),
+		laneQueueWait:   newHistogram(queueWaitBuckets),
 	}
 }
 
@@ -202,9 +206,9 @@ type poolStat struct {
 }
 
 // render writes the Prometheus text exposition of every counter. pools
-// carries the per-model session-pool occupancy and fusers the per-model
-// coalescer state, both sampled at scrape time.
-func (m *metrics) render(pools []poolStat, fusers []CoalesceStats, quarantined int64, ingests []ingestStat) string {
+// carries the per-model session-pool occupancy and lanes the estimate-lane
+// state, both sampled at scrape time.
+func (m *metrics) render(pools []poolStat, lanes laneStats, quarantined int64, ingests []ingestStat) string {
 	var b strings.Builder
 	uptime := time.Since(m.start).Seconds()
 	queries := m.queriesTotal.Load()
@@ -213,8 +217,8 @@ func (m *metrics) render(pools []poolStat, fusers []CoalesceStats, quarantined i
 		"Wall time of estimate requests.", m.reqLatency)
 
 	// The same observations as a quantile summary: client-observed request
-	// latency including coalescer queueing, the SLO-facing view.
-	fmt.Fprintf(&b, "# HELP neurocard_request_latency_seconds Estimate request latency quantiles (incl. coalescer queueing).\n")
+	// latency including lane queueing, the SLO-facing view.
+	fmt.Fprintf(&b, "# HELP neurocard_request_latency_seconds Estimate request latency quantiles (incl. lane queueing).\n")
 	fmt.Fprintf(&b, "# TYPE neurocard_request_latency_seconds summary\n")
 	p99 := m.reqLatency.quantile(0.99)
 	for _, q := range []struct {
@@ -227,11 +231,11 @@ func (m *metrics) render(pools []poolStat, fusers []CoalesceStats, quarantined i
 	fmt.Fprintf(&b, "neurocard_request_latency_seconds_count %d\n", m.reqLatency.samples.Load())
 
 	renderHistogram(&b, "neurocard_fused_batch_size",
-		"Single-query requests fused per coalesced batch.", m.fusedBatchSize)
+		"Estimate lanes busy when a lane picks up a single-query request, itself included: the concurrency achieved.", m.laneConcurrency)
 	renderHistogram(&b, "neurocard_coalesce_queue_depth",
-		"Pending requests left in the coalescer queue at flush time.", m.coalesceQueueDepth)
+		"Single-query requests still waiting in the lane queue at each pick-up.", m.laneQueueDepth)
 	renderHistogram(&b, "neurocard_coalesce_window_seconds",
-		"Adaptive collection window at flush time.", m.coalesceWindow)
+		"Seconds a single-query request waited in the lane queue before a lane picked it up.", m.laneQueueWait)
 
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -241,7 +245,7 @@ func (m *metrics) render(pools []poolStat, fusers []CoalesceStats, quarantined i
 	counter("neurocard_estimate_errors_total", "Estimate requests answered with an error.", m.errorsTotal.Load())
 	counter("neurocard_model_loads_total", "Model checkpoint (re)loads.", m.loadsTotal.Load())
 	counter("neurocard_binary_requests_total", "Estimate requests on the binary wire protocol.", m.binaryTotal.Load())
-	counter("neurocard_coalesce_rejected_total", "Estimate requests rejected by coalescer admission control (429).", m.coalesceRejected.Load())
+	counter("neurocard_coalesce_rejected_total", "Single-query requests rejected because the lane queue was full (429).", m.laneRejected.Load())
 	counter("neurocard_request_timeouts_total", "Query estimates failed on an expired deadline (504).", m.timeoutsTotal.Load())
 	counter("neurocard_fallback_total", "Query estimates served by the fallback estimator while degraded.", m.fallbackTotal.Load())
 	counter("neurocard_recovered_panics_total", "Panics recovered by the serving blast-radius guards.", m.panicsTotal.Load())
@@ -295,15 +299,11 @@ func (m *metrics) render(pools []poolStat, fusers []CoalesceStats, quarantined i
 	}
 	gauge("neurocard_queries_per_second_lifetime", "Lifetime average estimate throughput.", qps)
 
-	sort.Slice(fusers, func(i, j int) bool { return fusers[i].Model < fusers[j].Model })
-	fmt.Fprintf(&b, "# HELP neurocard_coalesce_queue_depth_current Pending coalescer requests per model at scrape time.\n# TYPE neurocard_coalesce_queue_depth_current gauge\n")
-	for _, f := range fusers {
-		fmt.Fprintf(&b, "neurocard_coalesce_queue_depth_current{model=%q} %d\n", f.Model, f.QueueDepth)
-	}
-	fmt.Fprintf(&b, "# HELP neurocard_coalesce_window_current_seconds Adaptive collection window per model at scrape time.\n# TYPE neurocard_coalesce_window_current_seconds gauge\n")
-	for _, f := range fusers {
-		fmt.Fprintf(&b, "neurocard_coalesce_window_current_seconds{model=%q} %g\n", f.Model, f.Window.Seconds())
-	}
+	// Lane saturation at a glance: busy == lanes with a non-zero queue means
+	// single-query traffic is waiting on cores.
+	gauge("neurocard_estimate_lanes", "Estimate lanes serving single-query requests.", float64(lanes.lanes))
+	gauge("neurocard_estimate_lanes_busy", "Estimate lanes running an estimate at scrape time.", float64(lanes.busy))
+	gauge("neurocard_coalesce_queue_depth_current", "Single-query requests waiting in the lane queue at scrape time.", float64(lanes.queued))
 
 	// Breaker state per model: 0 = closed (healthy), 1 = half-open (probing),
 	// 2 = open (fallback serving). Absent for models without a breaker.

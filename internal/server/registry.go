@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -240,6 +241,10 @@ func (r *Registry) SetDefault(name string) error {
 	return nil
 }
 
+// errNotLoaded marks a lookup of a name the registry does not hold — also
+// one unloaded between a request's admission and its lane pick-up. 404.
+var errNotLoaded = errors.New("not loaded")
+
 // Get returns the named model, or the default when name is empty.
 func (r *Registry) Get(name string) (*Entry, error) {
 	if name == "" {
@@ -252,7 +257,7 @@ func (r *Registry) Get(name string) (*Entry, error) {
 	e, ok := r.models[name]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("server: model %q is not loaded", name)
+		return nil, fmt.Errorf("server: model %q is %w", name, errNotLoaded)
 	}
 	return e, nil
 }

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	hist "neurocard/internal/baselines/histogram"
@@ -26,7 +27,9 @@ type Config struct {
 	// (<dir>/<name>.ckpt).
 	ModelsDir string
 
-	// Workers bounds the concurrency of batch estimates (≤0 = GOMAXPROCS).
+	// Workers bounds the concurrency of one batch estimate and is the number
+	// of estimate lanes serving single-query requests (≤0 or more than
+	// GOMAXPROCS = GOMAXPROCS).
 	Workers int
 
 	// MaxBatch caps queries per estimate request (default 1024).
@@ -35,26 +38,13 @@ type Config struct {
 	// MaxBodyBytes caps request body sizes (default 8 MiB).
 	MaxBodyBytes int64
 
-	// FuseMaxBatch caps single-query requests fused per coalesced flush
-	// (default 64).
-	FuseMaxBatch int
-
-	// FuseWindow is the maximum time a coalescer holds a batch open waiting
-	// for concurrent requests to fuse (default 1.5ms). The effective window
-	// adapts to load and decays to zero when traffic is a trickle.
-	FuseWindow time.Duration
-
-	// FuseQueue bounds pending coalesced requests per model; a full queue
-	// answers 429 + Retry-After (default 1024).
+	// FuseQueue bounds the single-query requests waiting for an estimate
+	// lane, server-wide; a full queue answers 429 + Retry-After (default
+	// 1024).
 	FuseQueue int
 
-	// NoCoalesce serves single-query requests inline on their handler
-	// goroutine instead of fusing them — the pre-coalescer behavior, kept
-	// for A/B measurement and as an operational escape hatch.
-	NoCoalesce bool
-
 	// RequestTimeout bounds each estimate request end to end, including
-	// coalescer queueing and sampling (0 = unbounded). Clients may tighten —
+	// lane queueing and sampling (0 = unbounded). Clients may tighten —
 	// never loosen — their own budget with an X-Deadline-Ms header; expiry
 	// answers 504 and increments neurocard_request_timeouts_total.
 	RequestTimeout time.Duration
@@ -92,42 +82,42 @@ type Config struct {
 	// refresh before /readyz reports the instance degraded (the -max-staleness
 	// flag). 0 disables staleness gating.
 	MaxStaleness time.Duration
-
-	// Clock feeds the coalescer's window timer; nil means real time. Tests
-	// inject a fake to drive window-timeout flushes deterministically.
-	Clock Clock
 }
 
 // Server is the HTTP serving layer: a registry of loaded estimators plus the
 // JSON and binary APIs. Create with New, mount Handler on any http.Server,
-// and Close it on shutdown to stop the per-model coalescer goroutines.
+// and Close it on shutdown to stop the estimate-lane goroutines.
 type Server struct {
 	cfg     Config
 	reg     *Registry
 	metrics *metrics
 	mux     *http.ServeMux
 
-	fusers    sync.Map // model name → *fuser
-	ingests   sync.Map // model name → *ingestState
+	queue     chan *pendingEstimate // single-query requests waiting for a lane
+	lanes     int                   // lane goroutines draining queue
+	laneWG    sync.WaitGroup        // Close waits for the lanes to exit
+	lanesBusy atomic.Int64          // lanes running an estimate right now
+	ingests   sync.Map              // model name → *ingestState
 	closing   chan struct{}
 	closeOnce sync.Once
 }
 
-// New creates a server with an empty registry.
+// New creates a server with an empty registry and starts its estimate lanes.
 func New(cfg Config) *Server {
+	s := newServer(cfg)
+	s.startLanes()
+	return s
+}
+
+// newServer builds the server without starting the lanes: single-query
+// requests queue and nothing drains them — the state tests use to hold
+// requests in the queue deterministically.
+func newServer(cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1024
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 8 << 20
-	}
-	if cfg.FuseMaxBatch <= 0 {
-		cfg.FuseMaxBatch = 64
-	}
-	if cfg.FuseWindow == 0 {
-		cfg.FuseWindow = 1500 * time.Microsecond
-	} else if cfg.FuseWindow < 0 {
-		cfg.FuseWindow = 0
 	}
 	if cfg.FuseQueue <= 0 {
 		cfg.FuseQueue = 1024
@@ -135,14 +125,12 @@ func New(cfg Config) *Server {
 	if cfg.SLOLatencyP99 <= 0 {
 		cfg.SLOLatencyP99 = 25 * time.Millisecond
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = realClock{}
-	}
 	s := &Server{
 		cfg:     cfg,
 		reg:     NewRegistry(cfg.ModelsDir),
 		metrics: newMetrics(cfg.SLOLatencyP99),
 		mux:     http.NewServeMux(),
+		queue:   make(chan *pendingEstimate, cfg.FuseQueue),
 		closing: make(chan struct{}),
 	}
 	s.reg.defaultPrecision = cfg.DefaultPrecision
@@ -177,12 +165,13 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Close stops every coalescer goroutine, fails requests caught mid-queue
-// with 503, and syncs + closes every ingest journal. Idempotent; the HTTP
-// listener is the caller's to shut down.
+// Close fails requests caught mid-queue with 503, stops the estimate lanes
+// (waiting for any estimate still running on one), and syncs + closes every
+// ingest journal. Idempotent; the HTTP listener is the caller's to shut down.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closing)
+		s.laneWG.Wait()
 		s.closeIngest()
 	})
 }
@@ -398,7 +387,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	if single {
-		est, degraded, err := s.estimateSingle(ctx, entry, model, queries[0], seed)
+		est, degraded, err := s.estimateSingle(ctx, entry, queries[0], seed)
 		if err != nil {
 			status := estimateStatus(err)
 			if status == http.StatusTooManyRequests {
@@ -537,15 +526,14 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 
 // estimateSingle serves one single-query estimate with the full
 // fault-tolerance ladder. An open breaker short-circuits to the fallback
-// estimator (degraded=true). Otherwise the model runs — through the
-// coalescer by default, inline under NoCoalesce; both paths yield identical
-// results for a seeded request ((seed, 0)) and independent samples for an
+// estimator (degraded=true). Otherwise the model runs on an estimate lane —
+// (seed, 0) randomness for a seeded request, an independent sample for an
 // unseeded one — and its outcome feeds the breaker: panics, non-finite
 // estimates, and deadline expiries count as model faults, caller mistakes
 // and backpressure do not. A model fault other than a timeout (the client's
 // budget is spent; per the API contract expiry answers 504) is then masked
 // by the fallback when one exists.
-func (s *Server) estimateSingle(ctx context.Context, entry *Entry, model string, q query.Query, seed *int64) (est float64, degraded bool, err error) {
+func (s *Server) estimateSingle(ctx context.Context, entry *Entry, q query.Query, seed *int64) (est float64, degraded bool, err error) {
 	br := entry.Breaker
 	if br != nil && !br.allow() {
 		if entry.Fallback == nil {
@@ -555,7 +543,9 @@ func (s *Server) estimateSingle(ctx context.Context, entry *Entry, model string,
 		return est, err == nil, err
 	}
 
-	est, err = s.modelEstimate(ctx, entry, model, q, seed)
+	// The lane re-resolves the entry by name at pick-up, so it always runs
+	// the freshest hot-swapped generation.
+	est, err = s.laneEstimate(ctx, entry.Name, q, seed)
 	if err == nil && !finitePositive(est) {
 		err = fmt.Errorf("%w %g", errNonFinite, est)
 		s.metrics.nonfiniteTotal.Add(1)
@@ -573,17 +563,6 @@ func (s *Server) estimateSingle(ctx context.Context, entry *Entry, model string,
 		}
 	}
 	return est, false, err
-}
-
-// modelEstimate runs one single-query estimate on the neural model.
-func (s *Server) modelEstimate(ctx context.Context, entry *Entry, model string, q query.Query, seed *int64) (float64, error) {
-	if !s.cfg.NoCoalesce {
-		return s.coalesce(ctx, model, q, seed)
-	}
-	if seed != nil {
-		return entry.Est.EstimateSeededIndexedCtx(ctx, q, *seed, 0)
-	}
-	return entry.Est.EstimateCtx(ctx, q)
 }
 
 // fallbackEstimate answers one query from the entry's histogram shadow
@@ -620,6 +599,8 @@ func estimateStatus(err error) int {
 	switch {
 	case errors.Is(err, errSaturated):
 		return http.StatusTooManyRequests
+	case errors.Is(err, errNotLoaded):
+		return http.StatusNotFound
 	case errors.Is(err, errClosing), errors.Is(err, errBreakerOpen), errors.Is(err, errShardMissing):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -725,9 +706,8 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleUnload removes a model or logical model from serving. In-flight
-// requests finish on the entry they hold; the per-model coalescer goroutine
-// (if any) stays bound to the name and simply fails new work until a
-// reload, matching hot-swap behavior.
+// requests finish on the entry they hold; requests still queued for a lane
+// fail at pick-up when the name no longer resolves.
 func (s *Server) handleUnload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := s.reg.Unload(name); err != nil {
@@ -852,7 +832,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pools = append(pools, ps)
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(s.metrics.render(pools, s.coalesceStats(), s.reg.Quarantined(), s.ingestStats())))
+	_, _ = w.Write([]byte(s.metrics.render(pools, s.laneStats(), s.reg.Quarantined(), s.ingestStats())))
 }
 
 // ---- helpers ----

@@ -454,15 +454,16 @@ func TestServeHealthzAndMetrics(t *testing.T) {
 		"neurocard_slo_p99_latency_seconds",
 		"neurocard_slo_p99_target_seconds 0.025",
 		"neurocard_slo_p99_breached",
-		// Coalescer instruments: three single requests = three fused flushes
-		// of batch size 1 through the default model's fuser.
+		// Lane instruments: three sequential single requests = three lane
+		// pick-ups, each with one lane busy and one queue-wait observation.
 		`neurocard_fused_batch_size_bucket{le="1"} 3`,
 		"neurocard_fused_batch_size_count 3",
 		"neurocard_coalesce_queue_depth_bucket",
-		"neurocard_coalesce_window_seconds_bucket",
+		"neurocard_coalesce_window_seconds_count 3",
 		"neurocard_coalesce_rejected_total 0",
-		`neurocard_coalesce_queue_depth_current{model=""} 0`,
-		`neurocard_coalesce_window_current_seconds{model=""}`,
+		"neurocard_coalesce_queue_depth_current 0",
+		"neurocard_estimate_lanes ",
+		"neurocard_estimate_lanes_busy 0",
 		"neurocard_binary_requests_total 0",
 		`neurocard_sessions_free{model="m"}`,
 		`neurocard_sessions_in_use{model="m"} 0`,

@@ -41,8 +41,8 @@ const ContentTypeBinary = "application/x-neurocard-bin"
 //	nResults × float64 estimates, little-endian (0 where that query errored)
 //	flags bit0: nResults × (uvarint length + bytes) error strings ("" = ok)
 //
-// A request of n queries has single-request semantics when n == 1 (it is
-// coalesced across requests like a JSON "query") and batch semantics when
+// A request of n queries has single-request semantics when n == 1 (it runs
+// on an estimate lane like a JSON "query") and batch semantics when
 // n > 1 (query i draws randomness from (seed, i), exactly like JSON
 // "queries"), so the two protocols are result-identical for the same seed.
 const (

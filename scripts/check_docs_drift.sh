@@ -21,7 +21,7 @@ fi
 missing=0
 for f in $flags; do
   # Documented means the literal `-flag` appears in README (table cell,
-  # backticks, or prose). Word-boundary match so -fuse-batch doesn't
+  # backticks, or prose). Word-boundary match so -fuse-queue doesn't
   # satisfy -fuse.
   if ! grep -qE -- "-$f([^a-z0-9-]|$)" "$readme"; then
     echo "undocumented daemon flag: -$f (add it to $readme)" >&2

@@ -131,7 +131,7 @@ if [[ -z "$BIN_EST" ]]; then
 fi
 # The same seeded query through the binary protocol must produce the exact
 # same estimate the JSON protocol produced above — the wire format must not
-# perturb results, coalesced or not.
+# perturb results, whichever lane serves the request.
 if [[ "$BIN_EST" != "$EST" ]]; then
     echo "binary estimate $BIN_EST != JSON estimate $EST" >&2
     exit 1
@@ -146,7 +146,8 @@ echo "$METRICS" | { grep -E 'neurocard_estimate_queries_total|neurocard_sessions
 echo "$METRICS" | grep -q 'neurocard_binary_requests_total 1'
 echo "$METRICS" | grep -q 'neurocard_slo_p99_target_seconds'
 echo "$METRICS" | grep -q 'neurocard_fused_batch_size_count'
-echo "binary-protocol and coalescer metrics present"
+echo "$METRICS" | grep -q 'neurocard_estimate_lanes '
+echo "binary-protocol and estimate-lane metrics present"
 
 echo "=== fault-tolerance surfaces"
 # Malformed client deadline is rejected up front.
