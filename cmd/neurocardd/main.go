@@ -20,7 +20,6 @@
 //	                             append — requires -journal
 //	DELETE /v1/models/{name}     unload a model or logical model (the default
 //	                             re-elects; shards of an unloaded logical stay)
-//	GET  /healthz                combined health summary
 //	GET  /livez                  liveness probe (always 200 while serving HTTP)
 //	GET  /readyz                 readiness probe (503 until a model is loaded;
 //	                             degraded-but-serving stays 200)
@@ -107,7 +106,7 @@ func main() {
 	breakerThreshold := flag.Float64("breaker-threshold", 0, "failure rate that opens the breaker (0 = default 0.5, negative disables breakers)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "first open->half-open delay, doubling per reopen (0 = default 1s)")
 	breakerProbes := flag.Int("breaker-probes", 0, "half-open probe budget; all must succeed to close (0 = default 3)")
-	noFallback := flag.Bool("no-fallback", false, "disable the histogram fallback estimator; an open breaker then answers 503")
+	noFallback := flag.Bool("no-fallback", false, "disable the histogram fallback estimator; an open breaker then fails the estimates it denies (a single answers 503)")
 	journal := flag.String("journal", "", "root directory for per-model write-ahead row journals; enables POST /v1/models/{name}/ingest for preloaded models (empty disables ingest)")
 	maxStaleness := flag.Duration("max-staleness", 0, "oldest an acknowledged-but-unabsorbed row may get before /readyz reports the model degraded (0 = staleness never degrades readiness)")
 	refreshInterval := flag.Duration("refresh-interval", 30*time.Second, "how often the background loop absorbs journaled rows into a refreshed model generation (0 disables automatic refresh)")

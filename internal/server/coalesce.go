@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -10,16 +9,15 @@ import (
 	"time"
 
 	"neurocard/internal/core"
-	"neurocard/internal/query"
 )
 
 // Estimate lanes serve single-query requests: one bounded server-wide queue
 // (admission control — a full queue answers 429 + Retry-After instead of
 // growing latency without bound) drained by as many persistent lane
 // goroutines as batch estimates get workers (Config.Workers, default
-// GOMAXPROCS). A lane takes one pending request, resolves the registry entry
-// at pick-up — so a hot swap lands on the very next request — and runs the
-// estimate on its own goroutine with inline kernels. Concurrent requests run
+// GOMAXPROCS). A lane takes one pending request and runs its estimate, on
+// the registry entry the handler admitted it with, on its own goroutine with
+// inline kernels. Concurrent requests run
 // on concurrent lanes, one per core; a request arriving while every lane is
 // busy waits in the queue for the first to finish. Each request carries its
 // own (seed, idx) randomness, so who else is in flight never changes a
@@ -32,12 +30,6 @@ var (
 	errSaturated = errors.New("server: estimate queue saturated, retry later")
 	// errClosing reports a request caught in server shutdown.
 	errClosing = errors.New("server: shutting down")
-	// errNonFinite reports an estimate that failed the finiteness check —
-	// an internal model error, not a caller mistake.
-	errNonFinite = errors.New("server: non-finite estimate")
-	// errBreakerOpen reports a request short-circuited by an open model
-	// circuit with no fallback estimator to absorb it.
-	errBreakerOpen = errors.New("server: model circuit open and no fallback estimator configured")
 )
 
 // pendingEstimate is one enqueued single-query request waiting for a lane.
@@ -45,7 +37,7 @@ var (
 // the request's deadline onto the lane, so a request that expired while
 // queued is skipped and one that expires mid-sampling stops cooperatively.
 type pendingEstimate struct {
-	model    string // resolved to a registry entry at pick-up
+	entry    *Entry // the entry the request was admitted with
 	item     core.BatchItem
 	enqueued time.Time
 	done     chan laneResult
@@ -60,39 +52,34 @@ var pendingPool = sync.Pool{
 	New: func() any { return &pendingEstimate{done: make(chan laneResult, 1)} },
 }
 
-// laneEstimate submits one single-query estimate to the lanes and waits for
-// its result. seed == nil requests an independent unseeded sample (Estimate
-// semantics); a non-nil seed reproduces EstimateSeededIndexed(q, *seed, 0)
-// exactly.
-func (s *Server) laneEstimate(ctx context.Context, model string, q query.Query, seed *int64) (float64, error) {
+// laneEstimate submits one single-query estimate item to the lanes and
+// waits for its result. The lane runs it on e, the entry the request was
+// admitted with, so its breaker and its estimator are one generation.
+func (s *Server) laneEstimate(e *Entry, it core.BatchItem) (float64, error) {
 	p := pendingPool.Get().(*pendingEstimate)
-	p.model = model
-	p.item = core.BatchItem{Query: q, Auto: seed == nil, Ctx: ctx}
-	if seed != nil {
-		p.item.Seed = *seed
-	}
-	p.enqueued = time.Now()
+	p.entry, p.item, p.enqueued = e, it, time.Now()
 	select {
 	case s.queue <- p:
 	default:
+		p.entry, p.item = nil, core.BatchItem{}
 		pendingPool.Put(p)
 		s.metrics.laneRejected.Add(1)
 		return 0, errSaturated
 	}
 	select {
 	case res := <-p.done:
-		p.item = core.BatchItem{} // drop references before pooling
+		p.entry, p.item = nil, core.BatchItem{} // drop references before pooling
 		pendingPool.Put(p)
 		return res.est, res.err
 	case <-s.closing:
 		// The pending stays un-pooled: a lane may still write its done
 		// channel after we stop listening.
 		return 0, errClosing
-	case <-ctx.Done():
+	case <-it.Ctx.Done():
 		// Deadline expired (or the client hung up) while queued or running.
 		// The pending stays un-pooled for the same reason as above; the item
 		// carries ctx, so a lane skips it or stops its sampling.
-		return 0, ctx.Err()
+		return 0, it.Ctx.Err()
 	}
 }
 
@@ -114,8 +101,8 @@ func (s *Server) lane() {
 // EstimateItem already turns an expired context into its error (without
 // checking out a session) and a panic inside the estimate into an
 // ErrEstimatePanic error; the recover here is the second line of defense — a
-// bug in the registry or in EstimateItem itself fails one request instead of
-// killing the lane and stranding everything queued behind it.
+// bug in EstimateItem itself fails one request instead of killing the lane
+// and stranding everything queued behind it.
 func (s *Server) serve(p *pendingEstimate) {
 	m := s.metrics
 	m.laneConcurrency.observe(float64(s.lanesBusy.Add(1)))
@@ -132,23 +119,15 @@ func (s *Server) serve(p *pendingEstimate) {
 		s.lanesBusy.Add(-1)
 		p.done <- res
 	}()
-	entry, err := s.reg.Get(p.model)
-	if err != nil {
-		res.err = err
-		return
-	}
-	res.est, res.err = entry.Est.EstimateItem(p.item)
+	res.est, res.err = p.entry.Est.EstimateItem(p.item)
 }
 
-// estimateWorkers bounds the concurrency of one estimate call: the client's
-// requested workers (0 = server default = GOMAXPROCS), capped at the core
-// count and the batch size. estimateWorkers(0, math.MaxInt) is the lane count.
-func (s *Server) estimateWorkers(requested, batchLen int) int {
+// estimateWorkers bounds the concurrency of one estimate call: Config.Workers
+// (0 = GOMAXPROCS), capped at the core count and the batch size.
+// estimateWorkers(math.MaxInt) is the lane count.
+func (s *Server) estimateWorkers(batchLen int) int {
 	maxWorkers := runtime.GOMAXPROCS(0)
-	workers := requested
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
+	workers := s.cfg.Workers
 	if workers <= 0 || workers > maxWorkers {
 		workers = maxWorkers
 	}
@@ -160,7 +139,7 @@ func (s *Server) estimateWorkers(requested, batchLen int) int {
 
 // startLanes launches the lane goroutines; Close stops and waits for them.
 func (s *Server) startLanes() {
-	s.lanes = s.estimateWorkers(0, math.MaxInt)
+	s.lanes = s.estimateWorkers(math.MaxInt)
 	s.laneWG.Add(s.lanes)
 	for i := 0; i < s.lanes; i++ {
 		go s.lane()

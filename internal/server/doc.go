@@ -5,13 +5,13 @@
 //
 // # Request path
 //
-// Single-query requests run on estimate lanes — one bounded queue drained
-// by one goroutine per core (DESIGN.md §2.5); batches run as one
-// EstimateItems call; the same endpoint speaks a compact binary protocol. Requests carry deadlines end to end, a per-model circuit
-// breaker routes repeated model failures to a histogram fallback estimator,
-// and panics are contained per request (DESIGN.md §2.6). Concurrency and the
-// wire format never change results: each query keeps its own (seed, index)
-// randomness.
+// Every estimate runs decode → resolve → execute → encode (estimate.go), a
+// physical model as the one-shard identity route, each item through one
+// fault ladder: breaker, model or histogram fallback, sanity guard (DESIGN.md
+// §2.6). Singles run on estimate lanes, one per core (§2.5); batches as one
+// EstimateItems call per shard entry; JSON and a binary protocol share the
+// endpoint. Deadlines propagate end to end, and neither concurrency nor the
+// wire format changes a result: each query keeps its own (seed, index) RNG.
 //
 // # Models and precision
 //

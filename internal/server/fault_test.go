@@ -302,7 +302,7 @@ func TestBreakerTripsToDegradedServing(t *testing.T) {
 		t.Fatalf("open-breaker response = %s, want degraded fallback estimate", body)
 	}
 
-	// Batch requests degrade whole-request.
+	// Every item of a batch finds the breaker open and is served degraded.
 	seed := int64(1)
 	resp, body = post(t, ts.URL+"/v1/estimate", server.EstimateRequest{
 		Queries: []server.QueryJSON{fullJoin, fullJoin}, Seed: &seed,
@@ -359,9 +359,8 @@ func TestBreakerTripsToDegradedServing(t *testing.T) {
 	if !strings.Contains(string(body), `"degraded":true`) {
 		t.Fatalf("readyz body = %s, want degraded:true", body)
 	}
-	resp, body = get(t, ts.URL+"/healthz")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"degraded":true`) {
-		t.Fatalf("healthz = %d %s, want 200 + degraded:true", resp.StatusCode, body)
+	if !strings.Contains(string(body), `"breakers":true`) {
+		t.Fatalf("readyz body = %s, want breakers:true", body)
 	}
 }
 

@@ -517,12 +517,19 @@ func TestLogicalUnloadAndShardMissing(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unload shard: %d %s", resp.StatusCode, body)
 	}
+	picked := metricValue(t, metricsBody(t, ts), "neurocard_fused_batch_size_count")
 	resp, body = post(t, ts.URL+"/v1/estimate", server.EstimateRequest{Model: "fleet", Query: &crossQ, Seed: &seed})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("crossing estimate without s1: %d %s, want 503", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("crossing estimate without s1: %d %s (Retry-After %q), want 503 + Retry-After: 1",
+			resp.StatusCode, body, resp.Header.Get("Retry-After"))
 	}
 	if !strings.Contains(string(body), "shard model not loaded") {
 		t.Fatalf("503 body = %s", body)
+	}
+	// A single that already failed on one shard sends none of its other
+	// sub-queries to a lane.
+	if v := metricValue(t, metricsBody(t, ts), "neurocard_fused_batch_size_count"); v != picked {
+		t.Fatalf("lane pick-ups %s -> %s across a single that failed on a missing shard", picked, v)
 	}
 	resp, _ = post(t, ts.URL+"/v1/estimate", server.EstimateRequest{Model: "fleet", Query: &s0OnlyQ, Seed: &seed})
 	if resp.StatusCode != http.StatusOK {

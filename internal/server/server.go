@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,7 +59,7 @@ type Config struct {
 	BreakerProbes     int
 
 	// NoFallback disables the per-model histogram shadow estimator; an open
-	// breaker then answers 503 instead of serving degraded estimates.
+	// breaker then fails the items it denies (a single answers 503).
 	NoFallback bool
 
 	// DefaultPrecision is the serving precision applied to model loads that
@@ -158,7 +157,6 @@ func newServer(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/models/{name}/load", s.handleLoad)
 	s.mux.HandleFunc("POST /v1/models/{name}/ingest", s.handleIngest)
 	s.mux.HandleFunc("DELETE /v1/models/{name}", s.handleUnload)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /livez", s.handleLivez)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -232,7 +230,6 @@ type EstimateRequest struct {
 	Query   *QueryJSON  `json:"query,omitempty"`
 	Queries []QueryJSON `json:"queries,omitempty"`
 	Seed    *int64      `json:"seed,omitempty"`
-	Workers int         `json:"workers,omitempty"`
 }
 
 // EstimateResponse carries the results. Est is set for single-query
@@ -297,320 +294,6 @@ type errorResponse struct {
 }
 
 // ---- handlers ----
-
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	done := s.metrics.requestStart()
-	bin := strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary)
-
-	ctx, cancel, err := s.requestContext(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		done(0, true)
-		return
-	}
-	if cancel != nil {
-		defer cancel()
-	}
-
-	var (
-		model   string
-		seed    *int64
-		workers int
-		single  bool
-		queries []query.Query
-		buf     *[]byte // binary scratch: holds the body, then the reply
-	)
-	if bin {
-		s.metrics.binaryTotal.Add(1)
-		buf = wireBufPool.Get().(*[]byte)
-		defer func() {
-			*buf = (*buf)[:0]
-			wireBufPool.Put(buf)
-		}()
-		body, err := s.readBinBody(w, r, (*buf)[:0])
-		*buf = body
-		var breq BinRequest
-		if err == nil {
-			breq, err = DecodeBinRequest(body)
-		}
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			done(0, true)
-			return
-		}
-		model, seed, queries = breq.Model, breq.Seed, breq.Queries
-		single = len(queries) == 1
-	} else {
-		var req EstimateRequest
-		if err := s.decodeBody(w, r, &req); err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			done(0, true)
-			return
-		}
-		single = req.Query != nil
-		if single == (len(req.Queries) > 0) {
-			s.fail(w, http.StatusBadRequest, errors.New("exactly one of \"query\" or \"queries\" must be set"))
-			done(0, true)
-			return
-		}
-		qs := req.Queries
-		if single {
-			qs = []QueryJSON{*req.Query}
-		}
-		queries = make([]query.Query, len(qs))
-		for i := range qs {
-			q, err := DecodeQuery(qs[i])
-			if err != nil {
-				s.fail(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-				done(0, true)
-				return
-			}
-			queries[i] = q
-		}
-		model, seed, workers = req.Model, req.Seed, req.Workers
-	}
-	if len(queries) > s.cfg.MaxBatch {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("batch of %d queries exceeds limit %d", len(queries), s.cfg.MaxBatch))
-		done(0, true)
-		return
-	}
-	if lg := s.reg.GetLogical(model); lg != nil {
-		s.serveLogical(ctx, w, lg, queries, seed, workers, single, bin, buf, done)
-		return
-	}
-	entry, err := s.reg.Get(model)
-	if err != nil {
-		s.fail(w, http.StatusNotFound, err)
-		done(0, true)
-		return
-	}
-
-	start := time.Now()
-	if single {
-		est, degraded, err := s.estimateSingle(ctx, entry, queries[0], seed)
-		if err != nil {
-			status := estimateStatus(err)
-			if status == http.StatusTooManyRequests {
-				w.Header().Set("Retry-After", "1")
-			}
-			if status == http.StatusGatewayTimeout {
-				s.metrics.timeoutsTotal.Add(1)
-			}
-			s.fail(w, status, err)
-			done(0, true)
-			return
-		}
-		if degraded {
-			s.metrics.fallbackTotal.Add(1)
-		}
-		if bin {
-			s.replyBin(w, buf, entry.Name, []float64{est}, nil, degraded)
-		} else {
-			s.reply(w, http.StatusOK, EstimateResponse{
-				Model:    entry.Name,
-				Est:      &est,
-				Degraded: degraded,
-				Count:    1,
-				Micros:   time.Since(start).Microseconds(),
-			})
-		}
-		done(1, false)
-		return
-	}
-
-	// Batch: one registry resolution, one EstimateItems run over pooled
-	// sessions (each worker holds one session across its queries), and
-	// per-query positional errors — a bad query no longer poisons its
-	// batchmates. Seeded batches reproduce EstimateBatchSeeded exactly:
-	// query i draws from (seed, i); unseeded from (config seed, i).
-	//
-	// Degradation is whole-request: an open breaker answers the entire batch
-	// from the fallback estimator with Degraded set; a closed breaker runs
-	// the model and feeds every item's outcome back into the window.
-	br := entry.Breaker
-	degraded := false
-	var ests []float64
-	var errs []error
-	if br != nil && !br.allow() {
-		if entry.Fallback == nil {
-			s.fail(w, http.StatusServiceUnavailable, errBreakerOpen)
-			done(0, true)
-			return
-		}
-		degraded = true
-		ests = make([]float64, len(queries))
-		errs = make([]error, len(queries))
-		for i, q := range queries {
-			ests[i], errs[i] = s.fallbackEstimate(entry, q)
-		}
-	} else {
-		base := entry.Est.Config().Seed
-		if seed != nil {
-			base = *seed
-		}
-		items := make([]core.BatchItem, len(queries))
-		for i, q := range queries {
-			items[i] = core.BatchItem{Query: q, Seed: base, Idx: int64(i), Ctx: ctx}
-		}
-		ests, errs = entry.Est.EstimateItems(items, s.estimateWorkers(workers, len(items)))
-	}
-	var errStrings []string
-	nOK := 0
-	for i, est := range ests {
-		qerr := errs[i]
-		if qerr == nil && !finitePositive(est) {
-			qerr = fmt.Errorf("%w %g", errNonFinite, est)
-			s.metrics.nonfiniteTotal.Add(1)
-		}
-		if !degraded {
-			if errors.Is(qerr, context.DeadlineExceeded) {
-				s.metrics.timeoutsTotal.Add(1)
-			}
-			if br != nil {
-				if modelFault(qerr) {
-					br.record(true)
-				} else if qerr == nil {
-					br.record(false)
-				}
-			}
-		}
-		if qerr != nil {
-			if errStrings == nil {
-				errStrings = make([]string, len(ests))
-			}
-			errStrings[i] = qerr.Error()
-			ests[i] = 0
-			continue
-		}
-		nOK++
-	}
-	if degraded {
-		s.metrics.fallbackTotal.Add(int64(nOK))
-	}
-	if bin {
-		s.replyBin(w, buf, entry.Name, ests, errStrings, degraded)
-	} else {
-		s.reply(w, http.StatusOK, EstimateResponse{
-			Model:    entry.Name,
-			Ests:     ests,
-			Errors:   errStrings,
-			Degraded: degraded,
-			Count:    len(ests),
-			Micros:   time.Since(start).Microseconds(),
-		})
-	}
-	done(nOK, errStrings != nil)
-}
-
-// requestContext derives the request's estimate budget: the server-wide
-// RequestTimeout, optionally tightened (never loosened) by the client's
-// X-Deadline-Ms header. The returned context also inherits client-disconnect
-// cancellation from the http.Request.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	timeout := s.cfg.RequestTimeout
-	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
-		ms, err := strconv.ParseInt(h, 10, 64)
-		if err != nil || ms <= 0 {
-			return nil, nil, fmt.Errorf("invalid X-Deadline-Ms header %q (want a positive integer)", h)
-		}
-		if d := time.Duration(ms) * time.Millisecond; timeout == 0 || d < timeout {
-			timeout = d
-		}
-	}
-	if timeout <= 0 {
-		return r.Context(), nil, nil
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	return ctx, cancel, nil
-}
-
-// estimateSingle serves one single-query estimate with the full
-// fault-tolerance ladder. An open breaker short-circuits to the fallback
-// estimator (degraded=true). Otherwise the model runs on an estimate lane —
-// (seed, 0) randomness for a seeded request, an independent sample for an
-// unseeded one — and its outcome feeds the breaker: panics, non-finite
-// estimates, and deadline expiries count as model faults, caller mistakes
-// and backpressure do not. A model fault other than a timeout (the client's
-// budget is spent; per the API contract expiry answers 504) is then masked
-// by the fallback when one exists.
-func (s *Server) estimateSingle(ctx context.Context, entry *Entry, q query.Query, seed *int64) (est float64, degraded bool, err error) {
-	br := entry.Breaker
-	if br != nil && !br.allow() {
-		if entry.Fallback == nil {
-			return 0, false, errBreakerOpen
-		}
-		est, err = s.fallbackEstimate(entry, q)
-		return est, err == nil, err
-	}
-
-	// The lane re-resolves the entry by name at pick-up, so it always runs
-	// the freshest hot-swapped generation.
-	est, err = s.laneEstimate(ctx, entry.Name, q, seed)
-	if err == nil && !finitePositive(est) {
-		err = fmt.Errorf("%w %g", errNonFinite, est)
-		s.metrics.nonfiniteTotal.Add(1)
-	}
-	if br != nil {
-		if modelFault(err) {
-			br.record(true)
-		} else if err == nil {
-			br.record(false)
-		}
-	}
-	if err != nil && entry.Fallback != nil && modelFault(err) && !errors.Is(err, context.DeadlineExceeded) {
-		if fb, ferr := s.fallbackEstimate(entry, q); ferr == nil {
-			return fb, true, nil
-		}
-	}
-	return est, false, err
-}
-
-// fallbackEstimate answers one query from the entry's histogram shadow
-// estimator, applying the same sanity guard as the model path.
-func (s *Server) fallbackEstimate(entry *Entry, q query.Query) (float64, error) {
-	est, err := entry.Fallback.Estimate(q)
-	if err != nil {
-		return 0, err
-	}
-	if !finitePositive(est) {
-		s.metrics.nonfiniteTotal.Add(1)
-		return 0, fmt.Errorf("%w %g (fallback)", errNonFinite, est)
-	}
-	return est, nil
-}
-
-// finitePositive is the estimate sanity guard: anything else is an internal
-// error and must never be served as a cardinality.
-func finitePositive(est float64) bool {
-	return !math.IsNaN(est) && !math.IsInf(est, 0) && est > 0
-}
-
-// modelFault reports whether an estimate error indicts the model itself —
-// the outcomes that feed the circuit breaker. Caller mistakes (bad queries),
-// backpressure, shutdown, and client disconnects do not.
-func modelFault(err error) bool {
-	return errors.Is(err, core.ErrEstimatePanic) ||
-		errors.Is(err, errNonFinite) ||
-		errors.Is(err, context.DeadlineExceeded)
-}
-
-// estimateStatus maps a single-query estimate error onto its HTTP status.
-func estimateStatus(err error) int {
-	switch {
-	case errors.Is(err, errSaturated):
-		return http.StatusTooManyRequests
-	case errors.Is(err, errNotLoaded):
-		return http.StatusNotFound
-	case errors.Is(err, errClosing), errors.Is(err, errBreakerOpen), errors.Is(err, errShardMissing):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, errNonFinite), errors.Is(err, core.ErrEstimatePanic):
-		return http.StatusInternalServerError
-	default:
-		return http.StatusBadRequest
-	}
-}
 
 // modelInfo builds the wire description of a registry entry; the single
 // constructor keeps the /v1/models listing and the load response consistent.
@@ -705,9 +388,9 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, http.StatusOK, modelInfo(entry, def))
 }
 
-// handleUnload removes a model or logical model from serving. In-flight
-// requests finish on the entry they hold; requests still queued for a lane
-// fail at pick-up when the name no longer resolves.
+// handleUnload removes a model or logical model from serving. Requests
+// already admitted — running or still queued for a lane — finish on the
+// entry they were admitted with.
 func (s *Server) handleUnload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := s.reg.Unload(name); err != nil {
@@ -718,24 +401,6 @@ func (s *Server) handleUnload(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, http.StatusOK, struct {
 		Unloaded string `json:"unloaded"`
 	}{name})
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	type health struct {
-		Status   string `json:"status"`
-		Models   int    `json:"models"`
-		Ready    bool   `json:"ready"`
-		Degraded bool   `json:"degraded"`
-		Uptime   string `json:"uptime"`
-	}
-	n := s.reg.Len()
-	s.reply(w, http.StatusOK, health{
-		Status:   "ok",
-		Models:   n,
-		Ready:    n > 0,
-		Degraded: s.degraded(),
-		Uptime:   time.Since(s.metrics.start).Round(time.Millisecond).String(),
-	})
 }
 
 // handleLivez is the liveness probe: the process is up and serving HTTP.

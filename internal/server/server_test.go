@@ -213,8 +213,7 @@ func TestServeBatchSeededDeterminism(t *testing.T) {
 			{Tables: []string{"A"},
 				Filters: []server.FilterJSON{{Table: "A", Col: "x", Op: "IN", Set: []any{float64(1), float64(2)}}}},
 		},
-		Seed:    &seed,
-		Workers: 3,
+		Seed: &seed,
 	}
 	var first []float64
 	for trial := 0; trial < 3; trial++ {
@@ -387,6 +386,12 @@ func TestServeErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: %d", resp.StatusCode)
 	}
+	// Batch concurrency is Config.Workers; a request cannot set it.
+	resp, _ = post(t, ts.URL+"/v1/estimate", map[string]any{
+		"queries": []any{map[string]any{"tables": []string{"A"}}}, "workers": 2})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("workers field: %d, want 400", resp.StatusCode)
+	}
 
 	// Path traversal in model names is rejected.
 	resp, _ = post(t, ts.URL+"/v1/models/..%2Fevil/load", nil)
@@ -401,22 +406,25 @@ func TestServeErrors(t *testing.T) {
 	}
 }
 
-func TestServeHealthzAndMetrics(t *testing.T) {
+func TestServeReadyzAndMetrics(t *testing.T) {
 	_, ts, dir := serveTest(t)
-	resp, body := get(t, ts.URL+"/healthz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %d", resp.StatusCode)
+	resp, body := get(t, ts.URL+"/readyz")
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("empty readyz: %d, want 503", resp.StatusCode)
 	}
 	var h struct {
-		Status string `json:"status"`
-		Ready  bool   `json:"ready"`
-		Models int    `json:"models"`
+		Ready  bool `json:"ready"`
+		Models int  `json:"models"`
 	}
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Ready || h.Models != 0 {
-		t.Fatalf("empty healthz = %s", body)
+	if h.Ready || h.Models != 0 {
+		t.Fatalf("empty readyz = %s", body)
+	}
+	// /livez and /readyz are the health probes; /healthz is not served.
+	if resp, _ := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/healthz: %d, want 404", resp.StatusCode)
 	}
 
 	writeCheckpoint(t, dir, "m", buildEstimator(t, 7, 256))
@@ -427,12 +435,12 @@ func TestServeHealthzAndMetrics(t *testing.T) {
 	}
 	post(t, ts.URL+"/v1/estimate", server.EstimateRequest{}) // one error
 
-	_, body = get(t, ts.URL+"/healthz")
+	resp, body = get(t, ts.URL+"/readyz")
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
-	if !h.Ready || h.Models != 1 {
-		t.Fatalf("loaded healthz = %s", body)
+	if resp.StatusCode != http.StatusOK || !h.Ready || h.Models != 1 {
+		t.Fatalf("loaded readyz = %d %s", resp.StatusCode, body)
 	}
 
 	_, body = get(t, ts.URL+"/metrics")
@@ -594,8 +602,7 @@ func TestServeSeededBatchDeterminismUnderSwap(t *testing.T) {
 			{Tables: []string{"A"},
 				Filters: []server.FilterJSON{{Table: "A", Col: "year", Op: "IS NULL"}}},
 		},
-		Seed:    &seed,
-		Workers: 2,
+		Seed: &seed,
 	}
 	resp, body := post(t, ts.URL+"/v1/estimate", req)
 	if resp.StatusCode != http.StatusOK {

@@ -169,24 +169,6 @@ func LoadEstimator(r io.Reader) (*Estimator, error) {
 	return core.LoadCheckpoint(r)
 }
 
-// SaveModel serializes a trained estimator's model weights (float32).
-//
-// Deprecated: the weights alone cannot answer queries — restoring requires
-// rebuilding the schema, encoder, and join counts exactly as trained. Use
-// SaveEstimator, which captures the whole estimator.
-func SaveModel(e *Estimator, w io.Writer) error {
-	return e.Model().Save(w)
-}
-
-// LoadModel deserializes model weights saved by SaveModel. The result is a
-// bare density model, not a serving-ready estimator.
-//
-// Deprecated: use LoadEstimator with a SaveEstimator checkpoint; it restores
-// a complete estimator that can serve queries and keep training.
-func LoadModel(r io.Reader) (*made.Model, error) {
-	return made.Load(r)
-}
-
 // SyntheticConfig controls the bundled synthetic IMDB generator.
 type SyntheticConfig = datagen.Config
 

@@ -57,9 +57,12 @@ READY=$(curl -sf "http://$ADDR/readyz")
 echo "$READY"
 echo "$READY" | grep -q '"ready":true'
 echo "$READY" | grep -q '"degraded":false'
-HEALTH=$(curl -sf "http://$ADDR/healthz")
-echo "$HEALTH"
-echo "$HEALTH" | grep -q '"ready":true'
+# /livez and /readyz are the health probes; /healthz is not served.
+HEALTHZ=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/healthz")
+if [[ "$HEALTHZ" != 404 ]]; then
+    echo "/healthz answered $HEALTHZ, want 404" >&2
+    exit 1
+fi
 
 echo "=== single estimate round trip"
 RESP=$(curl -sf "http://$ADDR/v1/estimate" -d '{
